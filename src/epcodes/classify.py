@@ -1,18 +1,21 @@
-"""Exhaustive classification pipelines and reference-table verification.
+"""Exhaustive classification and reference-table verification.
 
-Every pipeline walks the residue subspaces of F_p^n grouped by RREF pivot
-pattern, filters with the defining predicate, and deduplicates through the
-canonical form, so the output is independent of enumeration order and of
-the worker count.  The algorithms are unbounded in n; the budget below is
-only a guardrail against runs that cannot finish at desk scale.
+LCD, left self-dual and self-dual codes are classified by one pipeline,
+driven by a row of :data:`CENSUSES` per kind: it walks the residue subspaces
+of F_p^n grouped by RREF pivot pattern, keeps those satisfying the census's
+predicate, lifts them to E_p and deduplicates through the canonical form, so
+the output is independent of enumeration order and of the worker count.  The
+algorithms are unbounded in n; the budget below is only a guardrail against
+runs that cannot finish at desk scale.
 """
 
 from __future__ import annotations
 
 import enum
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import factorial
+from typing import Callable, Iterable
 
 from .code import EpCode, EpGenMatrix
 from .equiv import (
@@ -20,7 +23,7 @@ from .equiv import (
     canonical_form,
     canonical_form_free,
 )
-from .fp import FpCode, MdsStatus, iter_pivot_patterns, iter_subspaces_with_pivots
+from .fp import FpCode, MdsStatus, iter_pivot_patterns, iter_subspaces, iter_subspaces_with_pivots
 from .tables import CountTable, MatrixTable, TableRow, load_table
 
 CLASSIFY_BUDGET = {2: 8, 3: 6}
@@ -43,7 +46,14 @@ def classify_budget(p: int) -> int:
     return CLASSIFY_BUDGET[p]
 
 
-def _check_classify_budget(p: int, n: int, force: bool) -> None:
+def validate_workers(workers: int) -> None:
+    """Reject worker counts below one."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
+
+
+def _check_request(p: int, n: int, workers: int, force: bool) -> None:
+    validate_workers(workers)
     limit = classify_budget(p)
     if not force and n > limit:
         raise BudgetExceeded(
@@ -141,158 +151,166 @@ class Classification:
         return {rec.key for rec in self.records}
 
 
-# -- enumeration workers -------------------------------------------------------
+# -- the census table ------------------------------------------------------------
 
 
-def _shard(args: tuple[str, int, int, tuple[int, ...], int | None]) -> dict[bytes, EpCode]:
+@dataclass(frozen=True)
+class Census:
+    """How one kind of code is classified: residues of dimension ``dims(n)``
+    satisfying ``keep`` are lifted by ``lift``, every class found must satisfy
+    ``check``, and ``noun`` names the classes in report notes."""
+
+    dims: Callable[[int], Iterable[int]]
+    keep: Callable[[FpCode], bool]
+    lift: Callable[[FpCode], EpCode]
+    check: Callable[[EpCode], bool]
+    noun: str
+
+
+CENSUSES = {
+    # LCD codes are exactly the free lifts r*G of the LCD codes over F_p
+    "lcd": Census(
+        dims=lambda n: range(n + 1),
+        keep=lambda s: s.is_lcd,
+        lift=EpCode.free_code,
+        check=lambda c: c.is_lcd,
+        noun="LCD",
+    ),
+    # left self-dual codes are the free lifts of self-dual residue codes, so
+    # only dimension n/2 contributes
+    "left-self-dual": Census(
+        dims=lambda n: (n // 2,),
+        keep=lambda s: s.is_self_dual,
+        lift=EpCode.free_code,
+        check=lambda c: c.is_left_self_dual,
+        noun="left self-dual",
+    ),
+    # self-dual codes are the pairs (R, dual(R)) with R self-orthogonal
+    "self-dual": Census(
+        dims=lambda n: range(n // 2 + 1),
+        keep=lambda s: s.is_self_orthogonal,
+        lift=lambda s: EpCode(s, s.dual),
+        check=lambda c: c.is_self_dual and c.is_qsd and c.cardinality_exp == c.n,
+        noun="self-dual",
+    ),
+}
+
+
+def _canonical(code: EpCode) -> tuple[bytes, EpCode]:
+    """Canonical key and representative; free codes take the residue search.
+
+    Passing n as the cap lifts the canonical budget: every census is gated
+    by the classification budget, which is never above it, and the verifier
+    canonicalizes only printed rows.
+    """
+    if code.is_free:
+        return canonical_form_free(code.residue, code.n)
+    return canonical_form(code, code.n)
+
+
+# -- the pipeline ----------------------------------------------------------------
+
+
+def _shard(args: tuple[str, int, int, tuple[int, ...]]) -> dict[bytes, EpCode]:
     """Classify the subspaces of one pivot pattern; pure and order-free."""
-    kind, p, n, pivots, max_n = args
+    name, p, n, pivots = args
+    census = CENSUSES[name]
     out: dict[bytes, EpCode] = {}
     for sub in iter_subspaces_with_pivots(p, n, pivots):
-        if kind == "lcd":
-            if not sub.is_lcd:
-                continue
-            key, rep = canonical_form_free(sub, max_n)
-        elif kind == "left-self-dual":
-            if not sub.is_self_dual:
-                continue
-            key, rep = canonical_form_free(sub, max_n)
-        elif kind == "self-dual":
-            if not sub.is_self_orthogonal:
-                continue
-            key, rep = canonical_form(EpCode.from_fp_pair(sub, sub.dual), max_n)
-        else:  # pragma: no cover - guarded by the dispatchers
-            raise ValueError(f"unknown classification kind {kind!r}")
-        out.setdefault(key, rep)
+        if census.keep(sub):
+            key, rep = _canonical(census.lift(sub))
+            out.setdefault(key, rep)
     return out
 
 
-def _merge(merged: dict[bytes, EpCode], shards) -> None:
+def _merge(shards) -> dict[bytes, EpCode]:
+    merged: dict[bytes, EpCode] = {}
     for shard in shards:
         for key, code in shard.items():
             merged.setdefault(key, code)
-
-
-def _run_shards(
-    kind: str, p: int, n: int, dims: list[int], workers: int, force: bool
-) -> dict[bytes, EpCode]:
-    max_n = n if force else None
-    args = [
-        (kind, p, n, pivots, max_n)
-        for k in dims
-        for pivots in iter_pivot_patterns(n, k)
-    ]
-    merged: dict[bytes, EpCode] = {}
-    if workers <= 1 or len(args) <= 1:
-        _merge(merged, map(_shard, args))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(args) // (4 * workers))
-            _merge(merged, pool.map(_shard, args, chunksize=chunk))
     return merged
 
 
-def _sorted_records(merged: dict[bytes, EpCode]) -> tuple[ClassRecord, ...]:
-    return tuple(_validate(_record(merged[key], key)) for key in sorted(merged))
+def _run_shards(name: str, p: int, n: int, workers: int) -> dict[bytes, EpCode]:
+    args = [
+        (name, p, n, pivots)
+        for k in CENSUSES[name].dims(n)
+        for pivots in iter_pivot_patterns(n, k)
+    ]
+    if workers <= 1 or len(args) <= 1:
+        return _merge(map(_shard, args))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(args) // (4 * workers))
+        return _merge(pool.map(_shard, args, chunksize=chunk))
 
 
 _cache: dict[tuple[str, int, int], Classification] = {}
 
 
-def _cached(kind: str, p: int, n: int, build, use_cache: bool) -> Classification:
-    if use_cache and (kind, p, n) in _cache:
-        return _cache[(kind, p, n)]
-    result = build()
-    if use_cache:
-        _cache[(kind, p, n)] = result
-    return result
+def _census(name: str, p: int, n: int, workers: int, force: bool) -> Classification:
+    """Every class of one census, sorted by canonical key; built once per
+    (name, p, n), after the request passes the budget."""
+    _check_request(p, n, workers, force)
+    if (name, p, n) not in _cache:
+        census = CENSUSES[name]
+        merged = _run_shards(name, p, n, workers)
+        for code in merged.values():
+            if not census.check(code):
+                raise RuntimeError(f"non {census.noun} class emitted: {code}")
+        records = tuple(_validate(_record(merged[key], key)) for key in sorted(merged))
+        _cache[(name, p, n)] = Classification(name, p, n, records, len(records))
+    return _cache[(name, p, n)]
 
 
-# -- classification pipelines --------------------------------------------------
+def _mds_amds(kind: str, full: Classification) -> Classification:
+    """The MDS and AMDS classes of a census, reported as ``kind``; built once."""
+    key = ("mds-amds-" + full.kind, full.p, full.n)
+    if key not in _cache:
+        records = tuple(r for r in full.records if r.mds_status is not MdsStatus.NEITHER)
+        note = f"{full.total} {CENSUSES[full.kind].noun} classes in total"
+        _cache[key] = Classification(kind, full.p, full.n, records, full.total, note)
+    return _cache[key]
 
 
-def classify_lcd(
-    p: int, n: int, workers: int = 1, force: bool = False, use_cache: bool = True
-) -> Classification:
-    """All LCD codes over E_p of length n, up to monomial equivalence.
-
-    LCD codes are exactly the free lifts r*G of the LCD codes over F_p, so
-    the walk enumerates residue subspaces of every dimension.
-    """
-    _check_classify_budget(p, n, force)
-
-    def build() -> Classification:
-        merged = _run_shards("lcd", p, n, list(range(n + 1)), workers, force)
-        records = _sorted_records(merged)
-        return Classification("lcd", p, n, records, len(records))
-
-    return _cached("lcd", p, n, build, use_cache)
+def classify_lcd(p: int, n: int, workers: int = 1, force: bool = False) -> Classification:
+    """All LCD codes over E_p of length n, up to monomial equivalence."""
+    return _census("lcd", p, n, workers, force)
 
 
 def classify_mds_amds_lcd(
-    p: int, n: int, workers: int = 1, force: bool = False, use_cache: bool = True
+    p: int, n: int, workers: int = 1, force: bool = False
 ) -> Classification:
     """The MDS/AMDS subset of classify_lcd, one record per class."""
-    full = classify_lcd(p, n, workers, force, use_cache)
-    records = tuple(r for r in full.records if r.mds_status is not MdsStatus.NEITHER)
-    note = f"{full.total} LCD classes in total"
-    return Classification("mds-amds-lcd", p, n, records, full.total, note)
+    return _mds_amds("mds-amds-lcd", classify_lcd(p, n, workers, force))
 
 
 def classify_left_self_dual(
-    p: int, n: int, workers: int = 1, force: bool = False, use_cache: bool = True
+    p: int, n: int, workers: int = 1, force: bool = False
 ) -> Classification:
-    """MDS/AMDS left self-dual codes over E_p of length n.
-
-    Left self-dual codes are the free lifts of self-dual residue codes, so
-    only dimension n/2 can contribute and odd lengths are empty outright.
-    """
-    _check_classify_budget(p, n, force)
+    """MDS/AMDS left self-dual codes over E_p of length n; odd lengths are
+    empty outright, since a self-dual residue code has dimension n/2."""
     if n % 2:
+        _check_request(p, n, workers, force)
         return Classification(
             "left-self-dual", p, n, (), 0,
             "odd length: a self-dual residue code would need dimension n/2",
         )
-
-    def build() -> Classification:
-        merged = _run_shards("left-self-dual", p, n, [n // 2], workers, force)
-        records = _sorted_records(merged)
-        for rec in records:
-            if not rec.left_self_dual:
-                raise RuntimeError(f"non left self-dual class emitted: {rec}")
-        subset = tuple(r for r in records if r.mds_status is not MdsStatus.NEITHER)
-        note = f"{len(records)} left self-dual classes in total"
-        return Classification("left-self-dual", p, n, subset, len(records), note)
-
-    return _cached("left-self-dual", p, n, build, use_cache)
+    return _mds_amds("left-self-dual", _census("left-self-dual", p, n, workers, force))
 
 
 def classify_self_dual(
-    p: int, n: int, workers: int = 1, force: bool = False, use_cache: bool = True
+    p: int, n: int, workers: int = 1, force: bool = False
 ) -> Classification:
     """MDS/AMDS self-dual codes over E_p of length n.
 
-    Self-dual codes are the pairs (R, dual(R)) with R self-orthogonal, so
-    the walk covers residue dimensions up to n/2 and deduplicates with the
-    joint canonical form since these codes are generally not free.
+    These codes are generally not free; by the even-length theorem every
+    MDS/AMDS class has even n and even torsion excess m2.
     """
-    _check_classify_budget(p, n, force)
-
-    def build() -> Classification:
-        merged = _run_shards("self-dual", p, n, list(range(n // 2 + 1)), workers, force)
-        records = _sorted_records(merged)
-        for rec in records:
-            code = rec.representative.code()
-            if not (rec.self_dual and code.is_qsd and code.cardinality_exp == n):
-                raise RuntimeError(f"non self-dual class emitted: {rec}")
-        subset = tuple(r for r in records if r.mds_status is not MdsStatus.NEITHER)
-        for rec in subset:
-            if rec.n % 2 or rec.m2 % 2:
-                raise RuntimeError(f"MDS/AMDS self-dual class with odd shape: {rec}")
-        note = f"{len(records)} self-dual classes in total"
-        return Classification("self-dual", p, n, subset, len(records), note)
-
-    return _cached("self-dual", p, n, build, use_cache)
+    result = _mds_amds("self-dual", _census("self-dual", p, n, workers, force))
+    for rec in result.records:
+        if rec.n % 2 or rec.m2 % 2:
+            raise RuntimeError(f"MDS/AMDS self-dual class with odd shape: {rec}")
+    return result
 
 
 CLASSIFY_KINDS = {
@@ -308,11 +326,9 @@ CLASSIFY_KINDS = {
 
 def _iter_pair_codes(p: int, n: int):
     """Every E_p code of length n as a (residue, torsion) pair; small n only."""
-    from .fp import iter_subspaces
-
     for torsion in iter_subspaces(p, n):
         if torsion.k == 0:
-            yield EpCode.from_fp_pair(FpCode.zero(p, n), torsion)
+            yield EpCode(FpCode.zero(p, n), torsion)
             continue
         for coords in iter_subspaces(p, torsion.k):
             rows = [
@@ -322,7 +338,7 @@ def _iter_pair_codes(p: int, n: int):
                 )
                 for row in coords.basis
             ]
-            yield EpCode.from_fp_pair(FpCode.from_rows(p, rows, n), torsion)
+            yield EpCode(FpCode.from_rows(p, rows, n), torsion)
 
 
 @dataclass(frozen=True)
@@ -367,11 +383,7 @@ def ternary_lcd_lower_bound(n: int) -> int:
     denom = 2 ** (n - 1) * factorial(n)
     bound = 0
     for m in range(n + 1):
-        phi = 0
-        for pivots in iter_pivot_patterns(n, m):
-            for sub in iter_subspaces_with_pivots(3, n, pivots):
-                if sub.is_lcd:
-                    phi += 1
+        phi = sum(1 for sub in iter_subspaces(3, n, [m]) if sub.is_lcd)
         bound += -(-phi // denom)
     return bound
 
@@ -424,22 +436,20 @@ class TableReport:
 _VERIFY_SCOPE = {1: 6, 2: 5, 3: 6, 4: 5, 5: 6, 6: 5, 7: 8, 8: 6, 9: 6, 10: 4}
 
 
-def _row_key(code: EpCode, max_n: int | None = None) -> bytes:
-    if code.is_free:
-        return canonical_form_free(code.residue, max_n)[0]
-    return canonical_form(code, max_n)[0]
+# matrix table kind -> the census that re-derives it and its CLASSIFY_KINDS name
+_TABLE_KINDS = {
+    "mds-amds-lcd": ("lcd", "mds-amds-lcd"),
+    "mds-amds-left-self-dual": ("left-self-dual", "left-self-dual"),
+    "mds-amds-self-dual": ("self-dual", "self-dual"),
+}
 
 
-def _direct_row_check(row: TableRow, kind: str) -> tuple[bool, str]:
+def _direct_row_check(row: TableRow, census: Census) -> tuple[bool, str]:
     """Check the printed predicate, distance and remark on one matrix."""
     code = row.matrix.code()
     problems = []
-    if kind == "mds-amds-lcd" and not code.is_lcd:
-        problems.append("not LCD")
-    if kind == "mds-amds-left-self-dual" and not code.is_left_self_dual:
-        problems.append("not left self-dual")
-    if kind == "mds-amds-self-dual" and not code.is_self_dual:
-        problems.append("not self-dual")
+    if not census.check(code):
+        problems.append(f"not {census.noun}")
     if code.min_distance != row.d:
         problems.append(f"minimum distance is {code.min_distance}, printed {row.d}")
     if code.mds_status is not row.status:
@@ -447,40 +457,7 @@ def _direct_row_check(row: TableRow, kind: str) -> tuple[bool, str]:
     return not problems, "; ".join(problems)
 
 
-def _census_rows(
-    table: MatrixTable,
-    lengths: list[int],
-    classify,
-    verdicts: list[RowVerdict],
-    workers: int,
-    force: bool,
-    use_cache: bool,
-) -> None:
-    """Compare each length block against exhaustive classification."""
-    for n in lengths:
-        block = [row for row in table.block(n) if row.variant != "printed"]
-        cls_ = classify(table.p, n, workers=workers, force=force, use_cache=use_cache)
-        fixture_keys = {_row_key(row.matrix.code()) for row in block}
-        label = f"n={n} census" + ("" if block else " (absent length)")
-        if fixture_keys == cls_.keys():
-            noun = "class" if cls_.total == 1 else "classes"
-            detail = f"{cls_.total} {noun}, matching the printed block exactly"
-            verdicts.append(RowVerdict(label, Verdict.CONFIRMED, detail=detail))
-        else:
-            missing = len(fixture_keys - cls_.keys())
-            extra = len(cls_.keys() - fixture_keys)
-            verdicts.append(
-                RowVerdict(
-                    label,
-                    Verdict.DISCREPANCY,
-                    detail=f"{missing} printed classes unmatched, {extra} classes absent from print",
-                )
-            )
-
-
-def _verify_counts(
-    table: CountTable, limit: int, workers: int, force: bool, use_cache: bool
-) -> TableReport:
+def _verify_counts(table: CountTable, limit: int, workers: int, force: bool) -> TableReport:
     verdicts = []
     notes = (
         "totals count the zero code as one class",
@@ -495,7 +472,7 @@ def _verify_counts(
                 )
             )
             continue
-        cls_ = classify_lcd(table.p, n, workers=workers, force=force, use_cache=use_cache)
+        cls_ = classify_lcd(table.p, n, workers=workers, force=force)
         if table.kind == "lcd-totals":
             want, got = table.total(n), cls_.total
             ok = want == got
@@ -512,14 +489,13 @@ def _verify_counts(
     return TableReport(table.table_id, tuple(verdicts), notes)
 
 
-def _verify_matrices(
-    table: MatrixTable, limit: int, workers: int, force: bool, use_cache: bool
-) -> TableReport:
+def _verify_matrices(table: MatrixTable, limit: int, workers: int, force: bool) -> TableReport:
     verdicts: list[RowVerdict] = []
     notes: list[str] = []
+    census, kind = _TABLE_KINDS[table.kind]
 
     for row in table.rows:
-        ok, detail = _direct_row_check(row, table.kind)
+        ok, detail = _direct_row_check(row, CENSUSES[census])
         if row.variant == "printed":
             # a known-defective block: confirm the defect, never the row
             known = (table.table_id, row.label) in KNOWN_DISCREPANCIES
@@ -550,7 +526,7 @@ def _verify_matrices(
             continue
         keys = {}
         for row in block:
-            key = _row_key(row.matrix.code())
+            key = _canonical(row.matrix.code())[0]
             if key in keys:
                 verdicts.append(
                     RowVerdict(
@@ -568,11 +544,6 @@ def _verify_matrices(
                 )
             )
 
-    classify = {
-        "mds-amds-lcd": classify_mds_amds_lcd,
-        "mds-amds-left-self-dual": classify_left_self_dual,
-        "mds-amds-self-dual": classify_self_dual,
-    }[table.kind]
     census_lengths: list[int] = []
     max_len = max(limit, max(table.lengths(), default=0))
     for n in range(1, max_len + 1):
@@ -592,7 +563,26 @@ def _verify_matrices(
                     detail="beyond the verification scope" + tail,
                 )
             )
-    _census_rows(table, census_lengths, classify, verdicts, workers, force, use_cache)
+    # compare each length block in scope against exhaustive classification
+    for n in census_lengths:
+        block = [row for row in table.block(n) if row.variant != "printed"]
+        cls_ = CLASSIFY_KINDS[kind](table.p, n, workers=workers, force=force)
+        fixture_keys = {_canonical(row.matrix.code())[0] for row in block}
+        label = f"n={n} census" + ("" if block else " (absent length)")
+        if fixture_keys == cls_.keys():
+            noun = "class" if cls_.total == 1 else "classes"
+            detail = f"{cls_.total} {noun}, matching the printed block exactly"
+            verdicts.append(RowVerdict(label, Verdict.CONFIRMED, detail=detail))
+        else:
+            missing = len(fixture_keys - cls_.keys())
+            extra = len(cls_.keys() - fixture_keys)
+            verdicts.append(
+                RowVerdict(
+                    label,
+                    Verdict.DISCREPANCY,
+                    detail=f"{missing} printed classes unmatched, {extra} classes absent from print",
+                )
+            )
     if table.kind != "mds-amds-lcd":
         notes.append(
             "odd lengths are absent by the even-length theorem and were not enumerated"
@@ -615,15 +605,15 @@ def verify_table(
     max_n: int | None = None,
     workers: int = 1,
     force: bool = False,
-    use_cache: bool = True,
 ) -> TableReport:
     """Recompute one published table and give every row a verdict.
 
     A discrepancy is a first-class result: the report never raises just
     because print and recomputation disagree.
     """
+    validate_workers(workers)
     table = load_table(table_id)
     limit = _VERIFY_SCOPE[table_id] if max_n is None else max_n
     if isinstance(table, CountTable):
-        return _verify_counts(table, limit, workers, force, use_cache)
-    return _verify_matrices(table, limit, workers, force, use_cache)
+        return _verify_counts(table, limit, workers, force)
+    return _verify_matrices(table, limit, workers, force)

@@ -11,7 +11,8 @@ Exit codes are stable contracts:
   1  inequivalent pair, or a table discrepancy outside the allowlist
   2  command line usage error
   3  generator matrix syntax error
-  4  invalid parameters (unsupported modulus, bad length, mismatched pair)
+  4  invalid parameters (unsupported modulus, bad length, mismatched pair,
+     fewer than one worker)
   5  refused: length beyond the classification budget and no --force
   6  ragged generator matrix (wrong number of entries in a row)
 """
@@ -27,6 +28,7 @@ from .classify import (
     CLASSIFY_KINDS,
     Verdict,
     classify_budget,
+    validate_workers,
     verify_table,
 )
 from .code import EpCode, EpGenMatrix, ParseError
@@ -62,13 +64,7 @@ def _read_matrix(path: str) -> EpGenMatrix:
         return EpGenMatrix.parse(fh.read())
 
 
-def _parse_exit(exc: ParseError) -> int:
-    message = str(exc)
-    if "entries" in message:
-        return EXIT_RAGGED
-    if "modulus" in message:
-        return EXIT_PARAMS
-    return EXIT_PARSE
+_PARSE_EXIT = {"syntax": EXIT_PARSE, "ragged": EXIT_RAGGED, "params": EXIT_PARAMS}
 
 
 # -- analyze -----------------------------------------------------------------
@@ -151,7 +147,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         matrix = _read_matrix(args.path)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _parse_exit(exc)
+        return _PARSE_EXIT[exc.kind]
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
@@ -197,6 +193,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         validate_modulus(args.p)
         if args.n < 1:
             raise ValueError("length must be positive")
+        validate_workers(args.workers)
         budget = classify_budget(args.p)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -279,7 +276,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
         second = _read_matrix(args.second)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _parse_exit(exc)
+        return _PARSE_EXIT[exc.kind]
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS

@@ -33,10 +33,16 @@ EpVec = tuple[EpElem, ...]
 
 
 class ParseError(ValueError):
-    """Malformed generator-matrix text; carries a line number."""
+    """Malformed generator-matrix text; carries a line number and a kind.
 
-    def __init__(self, message: str, line: int | None = None) -> None:
+    The kind is ``"syntax"`` for an unreadable header or entry, ``"ragged"``
+    for a row with the wrong number of entries, and ``"params"`` for a
+    header naming an unsupported modulus or length.
+    """
+
+    def __init__(self, message: str, line: int | None = None, kind: str = "syntax") -> None:
         self.line = line
+        self.kind = kind
         where = f"line {line}: " if line is not None else ""
         super().__init__(where + message)
 
@@ -91,10 +97,6 @@ class EpCode:
             b_rows.append(b)
         residue = FpCode.from_rows(p, a_rows, n)
         torsion = FpCode.from_rows(p, a_rows + b_rows, n)
-        return cls(residue, torsion)
-
-    @classmethod
-    def from_fp_pair(cls, residue: FpCode, torsion: FpCode) -> "EpCode":
         return cls(residue, torsion)
 
     @classmethod
@@ -303,16 +305,16 @@ class EpGenMatrix:
                 try:
                     validate_modulus(p)
                 except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from None
+                    raise ParseError(str(exc), lineno, "params") from None
                 if n < 1:
-                    raise ParseError("length must be positive", lineno)
+                    raise ParseError("length must be positive", lineno, "params")
                 header = (p, n)
                 header_line = lineno
                 continue
             p, n = header
             tokens = line.split()
             if len(tokens) != n:
-                raise ParseError(f"expected {n} entries, got {len(tokens)}", lineno)
+                raise ParseError(f"expected {n} entries, got {len(tokens)}", lineno, "ragged")
             try:
                 rows.append(tuple(EpElem.from_token(tok, p) for tok in tokens))
             except ValueError as exc:

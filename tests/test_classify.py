@@ -8,6 +8,7 @@ from epcodes import (
     Verdict,
     canonical_form,
     canonical_form_free,
+    classify,
     classify_budget,
     classify_lcd,
     classify_left_self_dual,
@@ -117,16 +118,19 @@ def test_self_dual_classification_matches_tables_9_and_10():
     assert odd.total == 0 and odd.seen_total > 0
 
 
-def test_classification_is_worker_invariant():
-    one = classify_lcd(2, 4, workers=1, use_cache=False)
-    many = classify_lcd(2, 4, workers=3, use_cache=False)
+def test_classification_is_worker_invariant(monkeypatch):
+    monkeypatch.setattr(classify, "_cache", {})
+    one = classify_lcd(2, 4, workers=1)
+    classify._cache.clear()
+    many = classify_lcd(2, 4, workers=3)
     assert one == many
 
 
-def test_classification_cache_returns_the_same_object():
+def test_classification_cache_returns_the_same_object(monkeypatch):
     a = classify_lcd(2, 3)
     assert classify_lcd(2, 3) is a
-    assert classify_lcd(2, 3, use_cache=False) == a
+    monkeypatch.setattr(classify, "_cache", {})
+    assert classify_lcd(2, 3) == a
 
 
 def test_budget_refusals_and_force():
@@ -150,6 +154,12 @@ def test_classification_requires_p_2_or_3():
         classify_lcd(5, 2)
     with pytest.raises(ValueError):
         classify_self_dual(7, 2)
+    with pytest.raises(ValueError):
+        classify_lcd(2, 3, workers=0)
+    with pytest.raises(ValueError):
+        classify_left_self_dual(2, 3, workers=-1)
+    with pytest.raises(ValueError):
+        verify_table(10, workers=0)
 
 
 def test_right_self_dual_reports():

@@ -69,6 +69,12 @@ def test_analyze_error_exit_codes(tmp_path, capsys):
     assert _run(capsys, "analyze", badtok)[0] == 3
     badmod = _write(tmp_path, "m.txt", "p=9 n=2\nr r\n")
     assert _run(capsys, "analyze", badmod)[0] == 4
+    # the exit code follows the kind of error, not the words of the token
+    for row in ("r q 0", "r modulus 0", "r entries 0"):
+        badrow = _write(tmp_path, "w.txt", f"p=2 n=3\n{row}\n")
+        assert _run(capsys, "analyze", badrow)[0] == 3
+    badlen = _write(tmp_path, "n.txt", "p=2 n=0\n")
+    assert _run(capsys, "analyze", badlen)[0] == 4
     assert _run(capsys, "analyze", str(tmp_path / "missing.txt"))[0] == 4
 
 
@@ -111,6 +117,9 @@ def test_classify_refuses_beyond_budget(capsys):
     assert "--force" in err
     code, _, err = _run(capsys, "classify", "lcd", "--p", "5", "--n", "2")
     assert code == 4
+    for argv in (("--n", "0"), ("--n", "3", "--workers", "0"), ("--n", "3", "--workers", "-2")):
+        code, out, err = _run(capsys, "classify", "lcd", "--p", "2", *argv)
+        assert code == 4 and out == "" and err.startswith("error:")
 
 
 def test_classify_force_within_budget_is_silent(capsys):
@@ -152,6 +161,7 @@ def test_verify_tables_json_lines(capsys):
 
 def test_verify_tables_unknown_table(capsys):
     assert _run(capsys, "verify-tables", "--table", "12")[0] == 4
+    assert _run(capsys, "verify-tables", "--workers", "0")[0] == 4
 
 
 def test_equiv_shuffled_copy_has_witness(tmp_path, capsys):

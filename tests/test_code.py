@@ -36,7 +36,7 @@ def _pairs(p, n):
     """Every code of length n as a (residue, torsion) pair."""
     for torsion in iter_subspaces(p, n):
         if torsion.k == 0:
-            yield EpCode.from_fp_pair(FpCode.zero(p, n), torsion)
+            yield EpCode(FpCode.zero(p, n), torsion)
             continue
         for coords in iter_subspaces(p, torsion.k):
             rows = [
@@ -46,7 +46,7 @@ def _pairs(p, n):
                 )
                 for row in coords.basis
             ]
-            yield EpCode.from_fp_pair(FpCode.from_rows(p, rows, n), torsion)
+            yield EpCode(FpCode.from_rows(p, rows, n), torsion)
 
 
 def _words(code):
@@ -55,10 +55,10 @@ def _words(code):
 
 # the non-free pair from the worked example: equivalent residues, but the
 # codes differ in their number of weight-1 words
-B_CODE = EpCode.from_fp_pair(
+B_CODE = EpCode(
     FpCode.from_rows(2, [(1, 1, 0)]), FpCode.from_rows(2, [(1, 0, 0), (0, 1, 0)])
 )
-C_CODE = EpCode.from_fp_pair(
+C_CODE = EpCode(
     FpCode.from_rows(2, [(1, 0, 1)]), FpCode.from_rows(2, [(1, 0, 1), (0, 1, 0)])
 )
 
@@ -255,4 +255,4 @@ def test_free_code_and_pair_validation():
     assert free.is_free and free.m1 == 1 and free.m2 == 0
     with pytest.raises(ValueError):
         # residue must sit inside the torsion code
-        EpCode.from_fp_pair(FpCode.from_rows(2, [(1, 1)]), FpCode.zero(2, 2))
+        EpCode(FpCode.from_rows(2, [(1, 1)]), FpCode.zero(2, 2))

@@ -36,7 +36,7 @@ def _random_fp(rng, p, n, k=None):
 def _random_pair(rng, p, n):
     torsion = _random_fp(rng, p, n)
     if torsion.k == 0:
-        return EpCode.from_fp_pair(FpCode.zero(p, n), torsion)
+        return EpCode(FpCode.zero(p, n), torsion)
     rows = []
     for _ in range(rng.randint(0, torsion.k)):
         coeffs = [rng.randrange(p) for _ in range(torsion.k)]
@@ -46,7 +46,7 @@ def _random_pair(rng, p, n):
                 for i in range(n)
             )
         )
-    return EpCode.from_fp_pair(FpCode.from_rows(p, rows, n), torsion)
+    return EpCode(FpCode.from_rows(p, rows, n), torsion)
 
 
 def _random_map_fp(rng, p, n):
