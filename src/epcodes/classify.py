@@ -12,6 +12,8 @@ runs that cannot finish at desk scale.
 from __future__ import annotations
 
 import enum
+import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import factorial
@@ -28,9 +30,16 @@ from .tables import CountTable, MatrixTable, TableRow, load_table
 
 CLASSIFY_BUDGET = {2: 8, 3: 6}
 
-# labels of table rows that are defective in print; their discrepancy is a
-# confirmed finding, not a verification failure
-KNOWN_DISCREPANCIES = {(7, "n=8 #1 (printed)")}
+# (table, label) of the rows that are defective in print, with the reason;
+# their discrepancy is a confirmed finding, not a verification failure, and
+# {d} stands for the recomputed minimum distance
+KNOWN_DISCREPANCIES = {
+    (7, "n=8 #1 (printed)"): (
+        "rows 3 and 4 differ only in coordinate 7, so the residue code contains "
+        "the weight-1 vector e_7 and cannot be self-orthogonal; as printed the "
+        "matrix spans a code with minimum distance {d} that is not left self-dual"
+    ),
+}
 
 
 def classify_budget(p: int) -> int:
@@ -237,7 +246,9 @@ def _run_shards(name: str, p: int, n: int, workers: int) -> dict[bytes, EpCode]:
         for k in CENSUSES[name].dims(n)
         for pivots in iter_pivot_patterns(n, k)
     ]
-    if workers <= 1 or len(args) <= 1:
+    # the pool forks every worker at once, so never start more than can run
+    workers = min(workers, len(args), os.cpu_count() or 1)
+    if workers <= 1:
         return _merge(map(_shard, args))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(args) // (4 * workers))
@@ -498,13 +509,14 @@ def _verify_matrices(table: MatrixTable, limit: int, workers: int, force: bool) 
         ok, detail = _direct_row_check(row, CENSUSES[census])
         if row.variant == "printed":
             # a known-defective block: confirm the defect, never the row
-            known = (table.table_id, row.label) in KNOWN_DISCREPANCIES
-            detail = _printed_defect_detail(table, row) if known else detail
+            reason = KNOWN_DISCREPANCIES.get((table.table_id, row.label))
+            if reason is not None:
+                detail = reason.format(d=row.matrix.code().min_distance)
             verdicts.append(
                 RowVerdict(
                     row.label,
                     Verdict.CONFIRMED if ok else Verdict.DISCREPANCY,
-                    known=known,
+                    known=reason is not None,
                     detail=detail,
                 )
             )
@@ -520,13 +532,20 @@ def _verify_matrices(table: MatrixTable, limit: int, workers: int, force: bool) 
             RowVerdict(row.label, Verdict.CONFIRMED if ok else Verdict.DISCREPANCY, detail=detail)
         )
 
+    def block(n: int) -> list[TableRow]:
+        return [row for row in table.block(n) if row.variant != "printed"]
+
+    @functools.cache
+    def block_keys(n: int) -> tuple[bytes, ...]:
+        """Canonical keys of a length block, shared by both checks below."""
+        return tuple(_canonical(row.matrix.code())[0] for row in block(n))
+
     for n in table.lengths():
-        block = [row for row in table.block(n) if row.variant != "printed"]
-        if len(block) < 2:
+        rows = block(n)
+        if len(rows) < 2:
             continue
         keys = {}
-        for row in block:
-            key = _canonical(row.matrix.code())[0]
+        for row, key in zip(rows, block_keys(n)):
             if key in keys:
                 verdicts.append(
                     RowVerdict(
@@ -536,11 +555,11 @@ def _verify_matrices(table: MatrixTable, limit: int, workers: int, force: bool) 
                     )
                 )
             keys[key] = row.label
-        if len(keys) == len(block):
+        if len(keys) == len(rows):
             verdicts.append(
                 RowVerdict(
                     f"n={n} inequivalence", Verdict.CONFIRMED,
-                    detail=f"{len(block)} printed classes pairwise inequivalent",
+                    detail=f"{len(rows)} printed classes pairwise inequivalent",
                 )
             )
 
@@ -565,10 +584,9 @@ def _verify_matrices(table: MatrixTable, limit: int, workers: int, force: bool) 
             )
     # compare each length block in scope against exhaustive classification
     for n in census_lengths:
-        block = [row for row in table.block(n) if row.variant != "printed"]
         cls_ = CLASSIFY_KINDS[kind](table.p, n, workers=workers, force=force)
-        fixture_keys = {_canonical(row.matrix.code())[0] for row in block}
-        label = f"n={n} census" + ("" if block else " (absent length)")
+        fixture_keys = set(block_keys(n))
+        label = f"n={n} census" + ("" if fixture_keys else " (absent length)")
         if fixture_keys == cls_.keys():
             noun = "class" if cls_.total == 1 else "classes"
             detail = f"{cls_.total} {noun}, matching the printed block exactly"
@@ -588,16 +606,6 @@ def _verify_matrices(table: MatrixTable, limit: int, workers: int, force: bool) 
             "odd lengths are absent by the even-length theorem and were not enumerated"
         )
     return TableReport(table.table_id, tuple(verdicts), tuple(notes))
-
-
-def _printed_defect_detail(table: MatrixTable, row: TableRow) -> str:
-    code = row.matrix.code()
-    return (
-        "rows 3 and 4 differ only in coordinate 7, so the residue code contains "
-        "the weight-1 vector e_7 and cannot be self-orthogonal; as printed the "
-        f"matrix spans a code with minimum distance {code.min_distance} that is "
-        "not left self-dual"
-    )
 
 
 def verify_table(

@@ -339,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("kind", choices=sorted(CLASSIFY_KINDS))
     p_cl.add_argument("--p", type=int, required=True, help="prime modulus")
     p_cl.add_argument("--n", type=int, required=True, help="code length")
-    p_cl.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p_cl.add_argument(
+        "--workers", type=int, default=1, help="parallel workers, capped at the CPU count"
+    )
     p_cl.add_argument("--force", action="store_true", help="ignore the length budget")
     _add_common(p_cl)
     p_cl.set_defaults(func=cmd_classify)
@@ -349,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--table", type=int, action="append", metavar="ID", help="table id, repeatable"
     )
     p_vt.add_argument("--max-n", type=int, default=None, help="verification scope cap")
-    p_vt.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p_vt.add_argument(
+        "--workers", type=int, default=1, help="parallel workers, capped at the CPU count"
+    )
     p_vt.add_argument("--force", action="store_true", help="ignore the length budget")
     p_vt.add_argument(
         "--strict", action="store_true",

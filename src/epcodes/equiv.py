@@ -15,13 +15,15 @@ rows), so the serialization is append-only and supports tight pruning.
 The canonical key is the lexicographic minimum of that serialization
 over the whole monomial group; equivalence searches instead for an
 assignment whose serialization matches the other code's own RREF.
+Every canonical form goes through ``_minimize`` and every witness through
+``_witness``.  Both search a list of F_p codes jointly: one
+:class:`~epcodes.fp.FpCode`, or the (residue, torsion) pair of an E_p code.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .code import EpCode
 from .fp import FpCode, Vec, inverse_table, validate_modulus
@@ -166,34 +168,13 @@ class MonomialMapEp:
         return EpCode(fp_map.apply(c.residue), fp_map.apply(c.torsion))
 
     def then(self, other: "MonomialMapEp") -> "MonomialMapEp":
-        if (other.p, other.n) != (self.p, self.n):
-            raise ValueError("maps do not compose")
-        perm = tuple(other.perm[t] for t in self.perm)
-        scale = [EpElem.r(self.p)] * self.n
-        for i in range(self.n):
-            t1 = self.perm[i]
-            t2 = other.perm[t1]
-            scale[t2] = self.scale[t1] * other.scale[t2]
-        return MonomialMapEp(self.p, perm, tuple(scale))
+        """The composite map, self first.  The action depends on alpha alone,
+        so the composite is the lift of the composite alpha maps."""
+        return self.alpha_map().then(other.alpha_map()).lift()
 
     def inverse(self) -> "MonomialMapEp":
         """Undoes the transport; scaling by e acts through alpha(e) alone."""
-        p = self.p
-        perm = [0] * self.n
-        scale = [EpElem.r(p)] * self.n
-        for i, j in enumerate(self.perm):
-            perm[j] = i
-            inv = pow(self.scale[j].alpha, p - 2, p)
-            scale[i] = EpElem.from_t_adic(inv, 0, p)
-        return MonomialMapEp(p, tuple(perm), tuple(scale))
-
-
-def all_monomial_maps_fp(p: int, n: int) -> Iterator[MonomialMapFp]:
-    """The full group, (p-1)^n n! maps; smoke scale only."""
-    units = range(1, p)
-    for perm in itertools.permutations(range(n)):
-        for scale in itertools.product(units, repeat=n):
-            yield MonomialMapFp(p, perm, scale)
+        return self.alpha_map().inverse().lift()
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +187,10 @@ def all_monomial_maps_fp(p: int, n: int) -> Iterator[MonomialMapFp]:
 # or its reduced coefficients if dependent.  Row operations triggered by
 # a new pivot never touch previously assigned columns, which makes the
 # serialization append-only.
+#
+# _minimize (canonical forms) and _witness (equivalence) are the engine's
+# only callers; the public entry points below go through them.
 # ---------------------------------------------------------------------------
-
-
-def _scaled_column(W: list[list[int]], s: int, u: int, p: int) -> list[int]:
-    return [(u * row[s]) % p for row in W]
 
 
 def _append_column(
@@ -223,7 +203,7 @@ def _append_column(
     new_ranks: list[int] = []
     for W, rank in zip(mats, ranks):
         k = len(W)
-        col = _scaled_column(W, s, u, p)
+        col = [(u * row[s]) % p for row in W]
         pivot = next((i for i in range(rank, k) if col[i]), None)
         if pivot is None:
             ser.extend(col)
@@ -276,16 +256,16 @@ def _search(
     n: int,
     mats0: Sequence[Sequence[Sequence[int]]],
     target: Sequence[tuple[int, ...]] | None,
-) -> tuple[list[tuple[int, ...]], list[int], list[int]] | None:
+) -> tuple[list[tuple[int, ...]], MonomialMapFp] | None:
     """Shared engine.
 
     With ``target`` given, finds one assignment whose serialization equals
     it (equivalence witness); otherwise minimizes the serialization over
-    the group (canonical form).  Returns (columns, sources, scales) or
-    None when no witness exists.
+    the group (canonical form).  Returns the serialized columns and the
+    map that produces them, or None when no witness exists.
     """
-    units = list(range(1, p))
-    best: dict[str, list] = {"cols": None, "src": None, "scl": None}
+    units = range(1, p)
+    best: tuple[list[tuple[int, ...]], list[int], list[int]] | None = None
 
     def rec(
         mats: list[list[list[int]]],
@@ -295,59 +275,43 @@ def _search(
         sources: list[int],
         scales: list[int],
     ) -> bool:
+        nonlocal best
         t = n - len(unassigned)
         if not unassigned:
-            if target is not None:
-                best["cols"], best["src"], best["scl"] = prefix[:], sources[:], scales[:]
-                return True
-            if best["cols"] is None or prefix < best["cols"]:
-                best["cols"], best["src"], best["scl"] = prefix[:], sources[:], scales[:]
-            return False
-        candidates: list[tuple[tuple[int, ...], int, int]] = []
+            if target is not None or best is None or prefix < best[0]:
+                best = (prefix, sources, scales)
+            return target is not None
+        candidates = []
         for s, is_zero in _source_classes(mats, unassigned, p):
             for u in [1] if is_zero else units:
-                ser, _, _ = _append_column(mats, ranks, s, u, p)
-                candidates.append((ser, s, u))
+                ser, mats2, ranks2 = _append_column(mats, ranks, s, u, p)
+                candidates.append((ser, s, u, mats2, ranks2))
+        # (ser, s, u) is unique per candidate, so the sort never compares states
         candidates.sort()
-        for ser, s, u in candidates:
+        for ser, s, u, mats2, ranks2 in candidates:
             if target is not None:
                 if ser != target[t]:
                     continue
-            elif best["cols"] is not None:
+            elif best is not None:
                 # Prune once prefix+ser exceeds the incumbent; candidates
                 # are sorted, so every later one is at least as large.
-                if prefix + [ser] > best["cols"][: t + 1]:
+                if prefix + [ser] > best[0][: t + 1]:
                     break
-            ser2, mats2, ranks2 = _append_column(mats, ranks, s, u, p)
             rest = [x for x in unassigned if x != s]
-            found = rec(
-                mats2, ranks2, rest, prefix + [ser2], sources + [s], scales + [u]
-            )
-            if found:
+            if rec(mats2, ranks2, rest, prefix + [ser], sources + [s], scales + [u]):
                 return True
         return False
 
-    hit = rec([[list(r) for r in m] for m in mats0], [0] * len(mats0), list(range(n)), [], [], [])
-    if target is not None and not hit:
+    mats = [[list(r) for r in m] for m in mats0]
+    if not rec(mats, [0] * len(mats0), list(range(n)), [], [], []) and target is not None:
         return None
-    return best["cols"], best["src"], best["scl"]
-
-
-def _serialize_rref(mats: Sequence[Sequence[Sequence[int]]], n: int) -> list[tuple[int, ...]]:
-    """Column-major serialization of already-reduced matrices."""
-    cols = []
-    for j in range(n):
-        cols.append(tuple(row[j] for W in mats for row in W))
-    return cols
-
-
-def _witness_map(p: int, n: int, sources: list[int], scales: list[int]) -> MonomialMapFp:
+    cols, sources, scales = best
     perm = [0] * n
     scale = [1] * n
     for t, (s, u) in enumerate(zip(sources, scales)):
         perm[s] = t
         scale[t] = u
-    return MonomialMapFp(p, tuple(perm), tuple(scale))
+    return cols, MonomialMapFp(p, tuple(perm), tuple(scale))
 
 
 def _key_bytes(header: Sequence[int], cols: Sequence[tuple[int, ...]]) -> bytes:
@@ -357,8 +321,30 @@ def _key_bytes(header: Sequence[int], cols: Sequence[tuple[int, ...]]) -> bytes:
     return bytes(flat)
 
 
-def _cols_to_rows(cols: Sequence[tuple[int, ...]], k: int, offset: int) -> tuple[Vec, ...]:
-    return tuple(tuple(col[offset + i] for col in cols) for i in range(k))
+def _minimize(
+    codes: Sequence[FpCode], max_n: int | None
+) -> tuple[list[tuple[int, ...]], list[FpCode]]:
+    """The least joint serialization of ``codes`` over the monomial group,
+    and the images of ``codes`` under the map that attains it."""
+    p, n = codes[0].p, codes[0].n
+    _check_budget(p, n, max_n)
+    cols, m = _search(p, n, [c.basis for c in codes], None)
+    return cols, [m.apply(c) for c in codes]
+
+
+def _witness(codes1: Sequence[FpCode], codes2: Sequence[FpCode]) -> MonomialMapFp | None:
+    """A monomial map carrying each of ``codes1`` onto its partner in
+    ``codes2``, or None; a map that fails to do so is an internal error."""
+    p, n = codes1[0].p, codes1[0].n
+    # the RREF bases of codes2 are their own serialization, read by column
+    target = [tuple(row[j] for c in codes2 for row in c.basis) for j in range(n)]
+    found = _search(p, n, [c.basis for c in codes1], target)
+    if found is None:
+        return None
+    m = found[1]
+    if [m.apply(c) for c in codes1] != list(codes2):
+        raise RuntimeError("internal error: equivalence witness failed validation")
+    return m
 
 
 # -- F_p level ----------------------------------------------------------------
@@ -366,11 +352,8 @@ def _cols_to_rows(cols: Sequence[tuple[int, ...]], k: int, offset: int) -> tuple
 
 def canonical_form_fp(c: FpCode, max_n: int | None = None) -> tuple[bytes, FpCode]:
     """Canonical key and representative under the monomial group."""
-    _check_budget(c.p, c.n, max_n)
-    cols, _, _ = _search(c.p, c.n, [c.basis], None)
-    key = _key_bytes((c.p, c.n, c.k), cols)
-    rep = FpCode.from_rows(c.p, _cols_to_rows(cols, c.k, 0), c.n) if c.k else FpCode.zero(c.p, c.n)
-    return key, rep
+    cols, (rep,) = _minimize([c], max_n)
+    return _key_bytes((c.p, c.n, c.k), cols), rep
 
 
 def canonical_key_fp(c: FpCode, max_n: int | None = None) -> bytes:
@@ -385,8 +368,7 @@ def canonical_form_free(residue: FpCode, max_n: int | None = None) -> tuple[byte
     hence both minimizations select the same group elements and the joint
     key is the residue key with doubled columns and a widened header.
     """
-    _, rep = canonical_form_fp(residue, max_n)
-    cols = _serialize_rref([rep.basis], rep.n)
+    cols, (rep,) = _minimize([residue], max_n)
     key = _key_bytes((rep.p, rep.n, rep.k, rep.k), [col + col for col in cols])
     return key, EpCode.free_code(rep)
 
@@ -408,14 +390,7 @@ def equivalent_fp(
         return None
     if c1.dual.weight_enumerator != c2.dual.weight_enumerator:
         return None
-    found = _search(c1.p, c1.n, [c1.basis], _serialize_rref([c2.basis], c2.n))
-    if found is None:
-        return None
-    _, sources, scales = found
-    m = _witness_map(c1.p, c1.n, sources, scales)
-    if m.apply(c1) != c2:
-        raise RuntimeError("internal error: equivalence witness failed validation")
-    return m
+    return _witness([c1], [c2])
 
 
 # -- E_p level ----------------------------------------------------------------
@@ -428,19 +403,8 @@ def canonical_form(c: EpCode, max_n: int | None = None) -> tuple[bytes, EpCode]:
     so equal keys mean equal (residue, torsion) pairs after some single
     monomial change of coordinates, i.e. monomial equivalence.
     """
-    _check_budget(c.p, c.n, max_n)
-    kr, kt = c.residue.k, c.torsion.k
-    cols, _, _ = _search(c.p, c.n, [c.residue.basis, c.torsion.basis], None)
-    key = _key_bytes((c.p, c.n, kr, kt), cols)
-    residue = (
-        FpCode.from_rows(c.p, _cols_to_rows(cols, kr, 0), c.n) if kr else FpCode.zero(c.p, c.n)
-    )
-    torsion = (
-        FpCode.from_rows(c.p, _cols_to_rows(cols, kt, kr), c.n)
-        if kt
-        else FpCode.zero(c.p, c.n)
-    )
-    return key, EpCode(residue, torsion)
+    cols, (residue, torsion) = _minimize([c.residue, c.torsion], max_n)
+    return _key_bytes((c.p, c.n, c.residue.k, c.torsion.k), cols), EpCode(residue, torsion)
 
 
 def canonical_key(c: EpCode, max_n: int | None = None) -> bytes:
@@ -461,25 +425,11 @@ def equivalent_ep(
     if (c1.m1, c1.m2) != (c2.m1, c2.m2):
         return None
     if c1.is_free:
-        fp_map = equivalent_fp(c1.residue, c2.residue, max_n)
-        if fp_map is None:
-            return None
-        m = fp_map.lift()
+        m = equivalent_fp(c1.residue, c2.residue, max_n)
+    elif c1.residue.weight_enumerator != c2.residue.weight_enumerator:
+        return None
+    elif c1.torsion.weight_enumerator != c2.torsion.weight_enumerator:
+        return None
     else:
-        if c1.residue.weight_enumerator != c2.residue.weight_enumerator:
-            return None
-        if c1.torsion.weight_enumerator != c2.torsion.weight_enumerator:
-            return None
-        found = _search(
-            c1.p,
-            c1.n,
-            [c1.residue.basis, c1.torsion.basis],
-            _serialize_rref([c2.residue.basis, c2.torsion.basis], c2.n),
-        )
-        if found is None:
-            return None
-        _, sources, scales = found
-        m = _witness_map(c1.p, c1.n, sources, scales).lift()
-    if m.apply(c1) != c2:
-        raise RuntimeError("internal error: equivalence witness failed validation")
-    return m
+        m = _witness([c1.residue, c1.torsion], [c2.residue, c2.torsion])
+    return None if m is None else m.lift()

@@ -277,11 +277,13 @@ class FpCode:
 
     @property
     def is_self_orthogonal(self) -> bool:
-        return self.dual.contains_code(self)
+        """True iff the basis rows are pairwise orthogonal, each to itself too."""
+        basis, p = self.basis, self.p
+        return all(vec_dot(a, b, p) == 0 for i, a in enumerate(basis) for b in basis[i:])
 
     @property
     def is_self_dual(self) -> bool:
-        return self == self.dual
+        return 2 * self.k == self.n and self.is_self_orthogonal
 
     @property
     def mds_status(self) -> MdsStatus:

@@ -126,6 +126,37 @@ def test_classification_is_worker_invariant(monkeypatch):
     assert one == many
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args, chunksize=1):
+        return map(fn, args)
+
+
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+    # a huge count must never reach the pool, which forks every worker at once
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(classify, "_cache", {})
+    one = classify_lcd(2, 4, workers=1)
+    classify._cache.clear()
+    huge = classify_lcd(2, 4, workers=10**6)
+    assert _SerialPool.sizes == [3]
+    assert huge == one
+
+
 def test_classification_cache_returns_the_same_object(monkeypatch):
     a = classify_lcd(2, 3)
     assert classify_lcd(2, 3) is a
@@ -198,7 +229,7 @@ def test_verify_table_5_small_scope():
     assert "n=4 census" in labels and "n=4 #1" in labels
 
 
-def test_verify_table_7_reports_the_known_defect():
+def test_verify_table_7_reports_the_known_defect(monkeypatch):
     report = verify_table(7, max_n=4)
     assert not report.confirmed
     assert report.acceptable
@@ -210,6 +241,11 @@ def test_verify_table_7_reports_the_known_defect():
         assert phrase in bad.detail
     corrected = [v for v in report.verdicts if v.label == "n=8 #2 (corrected)"]
     assert corrected[0].verdict is Verdict.CONFIRMED
+    # the explanation is the one listed for this (table, row), {d} filled in
+    key = (7, "n=8 #1 (printed)")
+    monkeypatch.setitem(classify.KNOWN_DISCREPANCIES, key, "stand-in, distance {d}")
+    (bad,) = [v for v in verify_table(7, max_n=4).verdicts if v.known]
+    assert bad.detail == "stand-in, distance 1"
 
 
 def test_verify_table_10_full():
