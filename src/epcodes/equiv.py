@@ -18,6 +18,20 @@ assignment whose serialization matches the other code's own RREF.
 Every canonical form goes through ``_minimize`` and every witness through
 ``_witness``.  Both search a list of F_p codes jointly: one
 :class:`~epcodes.fp.FpCode`, or the (residue, torsion) pair of an E_p code.
+
+The minimizing search prunes with the automorphisms it meets (after Leon,
+"Computing automorphism groups of error-correcting codes", 1982, and
+McKay & Piperno, "Practical graph isomorphism II", 2014).  A leaf whose
+serialization ties the incumbent's yields an automorphism of the codes
+that fixes the two leaves' common prefix and maps the incumbent's branch
+at their divergence onto the new one, so the search backjumps to that
+node.  Each such automorphism is kept as a generator, and a node skips a
+candidate that the generators fixing its prefix map onto an explored
+sibling.  A branch is dropped only when its serializations are those of
+a branch explored before it, so the first leaf in search order that
+attains the minimum is still reached: the key, the representative and
+the map that produces it are those of the unpruned search.  The witness
+search keeps no generators.
 """
 
 from __future__ import annotations
@@ -38,8 +52,10 @@ class BudgetExceeded(RuntimeError):
         self.largest_feasible = largest_feasible
 
 
-# Largest length canonicalized without an explicit override.  The search
-# degrades toward |group| = (p-1)^n n! nodes on highly symmetric codes.
+# Largest length canonicalized without an explicit override.  Automorphism
+# pruning makes highly symmetric codes cheap (F_2^10 takes milliseconds);
+# the cost left is in prefixes that tie the incumbent's without an
+# automorphism behind them.  The values predate the pruning.
 CANON_BUDGET = {2: 10, 3: 6}
 _CANON_BUDGET_OTHER = 5
 
@@ -190,6 +206,23 @@ class MonomialMapEp:
 #
 # _minimize (canonical forms) and _witness (equivalence) are the engine's
 # only callers; the public entry points below go through them.
+#
+# Minimize mode prunes three ways.  Bound: candidates are sorted, and the
+# loop stops at the first that makes the prefix exceed the incumbent.
+# Backjump: two leaves with equal serialization have equal image codes,
+# so their maps m, m' differ by an automorphism g = m'^-1 m of the codes.
+# g fixes their common prefix pointwise with factor 1, and for every map
+# x through the incumbent's branch at the divergence node, x g^-1 runs
+# through the new leaf's branch with the same serialization: the rest of
+# that branch repeats one explored before it, and the search resumes at
+# the divergence node.  Orbits: g is kept as a generator (perm, factor),
+# which sends source column s to perm[s] scaled by factor[s].  A generator
+# that fixes a node's prefix sends its candidate (s, u) to (perm[s],
+# u / factor[s]), read modulo the joint projective classes, with the same
+# set of serializations; so candidates are grouped into orbits (union-find,
+# grown as generators arrive) and only the first of each orbit is searched.
+# Every dropped leaf has an equal leaf earlier in search order, so the
+# first leaf that attains the minimum is never dropped.
 # ---------------------------------------------------------------------------
 
 
@@ -226,29 +259,65 @@ def _append_column(
 
 
 def _source_classes(
-    mats: list[list[list[int]]], unassigned: Sequence[int], p: int
-) -> list[tuple[int, bool]]:
-    """One source column per joint projective class, with a zero flag.
+    mats: Sequence[Sequence[Sequence[int]]], n: int, p: int
+) -> list[tuple[int, int]]:
+    """Each source column's joint projective class, as (anchor, factor).
 
     Columns that agree up to one joint nonzero scalar are interchangeable:
     any completed assignment through one converts into an assignment
-    through the other with the same serialization, scales adjusted.
+    through the other with the same serialization, scales adjusted.  The
+    anchor is the first column of the class, and the column is factor
+    times the anchor; the factor of a zero column is 0.  Row operations do
+    not change the classes, so one computation serves the whole search.
     """
     inv = inverse_table(p)
-    seen: dict[tuple[int, ...], int] = {}
-    out: list[tuple[int, bool]] = []
-    for s in unassigned:
-        flat = [row[s] for W in mats for row in W]
+    first: dict[tuple[int, ...], tuple[int, int]] = {}
+    out: list[tuple[int, int]] = []
+    for s in range(n):
+        flat = [row[s] for m in mats for row in m]
         lead = next((v for v in flat if v), 0)
-        if lead:
-            key = tuple((inv[lead] * v) % p for v in flat)
-        else:
-            key = tuple(flat)
-        if key in seen:
-            continue
-        seen[key] = s
-        out.append((s, lead == 0))
+        key = tuple((inv[lead] * v) % p for v in flat)
+        anchor, anchor_lead = first.setdefault(key, (s, lead))
+        out.append((anchor, lead * inv[anchor_lead] % p))
     return out
+
+
+def _find(parent: dict[tuple[int, int], tuple[int, int]], x: tuple[int, int]) -> tuple[int, int]:
+    """Union-find root; a candidate absent from ``parent`` is its own root."""
+    while (up := parent.get(x, x)) != x:
+        x = up
+    return x
+
+
+def _merge_orbits(
+    parent: dict[tuple[int, int], tuple[int, int]],
+    keys: Sequence[tuple[int, int]],
+    gens: Sequence[tuple[list[int], list[int]]],
+    fixed: Sequence[int],
+    classes: Sequence[tuple[int, int]],
+    reps: dict[int, int],
+    p: int,
+) -> None:
+    """Union each candidate (s, u) of ``keys`` with its image under every
+    generator that fixes the sources ``fixed`` pointwise with factor 1.
+
+    Such a generator g turns each completed assignment through (perm[s], v)
+    into one through (s, v * factor[s]) with the same prefix and the same
+    serialization, so the two candidates root equal sets of serializations.
+    The image is read as a candidate through ``reps``, the node's source
+    column for each class anchor.
+    """
+    inv = inverse_table(p)
+    for perm, factor in gens:
+        if any(perm[s] != s or factor[s] != 1 for s in fixed):
+            continue
+        for s, u in keys:
+            anchor, f = classes[perm[s]]
+            rep = reps[anchor]
+            image = (rep, u * inv[factor[s]] * f * inv[classes[rep][1]] % p) if f else (rep, 1)
+            a, b = _find(parent, (s, u)), _find(parent, image)
+            if a != b:
+                parent[b] = a
 
 
 def _search(
@@ -265,7 +334,10 @@ def _search(
     map that produces them, or None when no witness exists.
     """
     units = range(1, p)
+    inv = inverse_table(p)
+    classes = _source_classes(mats0, n, p)
     best: tuple[list[tuple[int, ...]], list[int], list[int]] | None = None
+    gens: list[tuple[list[int], list[int]]] = []
 
     def rec(
         mats: list[list[list[int]]],
@@ -274,36 +346,65 @@ def _search(
         prefix: list[tuple[int, ...]],
         sources: list[int],
         scales: list[int],
-    ) -> bool:
+    ) -> int | None:
+        """None to go on with the caller's next candidate, or the depth of
+        the node the search resumes at (-1: a witness was found)."""
         nonlocal best
         t = n - len(unassigned)
         if not unassigned:
             if target is not None or best is None or prefix < best[0]:
                 best = (prefix, sources, scales)
-            return target is not None
+                return -1 if target is not None else None
+            # a tie: keep the automorphism, backjump to the divergence node
+            _, sources0, scales0 = best
+            perm, factor = list(range(n)), [1] * n
+            for s0, u0, s, u in zip(sources0, scales0, sources, scales):
+                perm[s0], factor[s0] = s, u0 * inv[u] % p
+            gens.append((perm, factor))
+            return next(
+                i for i in range(n) if (sources0[i], scales0[i]) != (sources[i], scales[i])
+            )
+        # one source column per class: the first one still unassigned
+        reps: dict[int, int] = {}
         candidates = []
-        for s, is_zero in _source_classes(mats, unassigned, p):
-            for u in [1] if is_zero else units:
-                ser, mats2, ranks2 = _append_column(mats, ranks, s, u, p)
-                candidates.append((ser, s, u, mats2, ranks2))
+        for s in unassigned:
+            anchor, f = classes[s]
+            if anchor not in reps:
+                reps[anchor] = s
+                for u in units if f else [1]:
+                    ser, mats2, ranks2 = _append_column(mats, ranks, s, u, p)
+                    candidates.append((ser, s, u, mats2, ranks2))
         # (ser, s, u) is unique per candidate, so the sort never compares states
         candidates.sort()
+        # orbits of the candidates under the generators that fix the prefix
+        parent: dict[tuple[int, int], tuple[int, int]] = {}
+        merged = 0
+        explored: list[tuple[int, int]] = []
         for ser, s, u, mats2, ranks2 in candidates:
             if target is not None:
                 if ser != target[t]:
                     continue
-            elif best is not None:
+            else:
                 # Prune once prefix+ser exceeds the incumbent; candidates
                 # are sorted, so every later one is at least as large.
-                if prefix + [ser] > best[0][: t + 1]:
+                if best is not None and prefix + [ser] > best[0][: t + 1]:
                     break
+                if merged < len(gens):
+                    keys = [(c[1], c[2]) for c in candidates]
+                    _merge_orbits(parent, keys, gens[merged:], sources, classes, reps, p)
+                    merged = len(gens)
+                root = _find(parent, (s, u))
+                if any(_find(parent, e) == root for e in explored):
+                    continue
+                explored.append((s, u))
             rest = [x for x in unassigned if x != s]
-            if rec(mats2, ranks2, rest, prefix + [ser], sources + [s], scales + [u]):
-                return True
-        return False
+            back = rec(mats2, ranks2, rest, prefix + [ser], sources + [s], scales + [u])
+            if back is not None and back < t:
+                return back
+        return None
 
     mats = [[list(r) for r in m] for m in mats0]
-    if not rec(mats, [0] * len(mats0), list(range(n)), [], [], []) and target is not None:
+    if rec(mats, [0] * len(mats0), list(range(n)), [], [], []) is None and target is not None:
         return None
     cols, sources, scales = best
     perm = [0] * n

@@ -329,17 +329,24 @@ def iter_subspaces_with_pivots(p: int, n: int, pivots: Vec) -> Iterator[FpCode]:
     RREF matrices are parameterized exactly by their free entries: entry
     (i, j) is free iff j > pivots[i] and j is not itself a pivot column.
     The matrices are emitted directly in reduced form, no elimination.
+    The RREF checks of ``FpCode`` read only pivot columns and the entries
+    left of each pivot, never a free entry, so the template is checked once
+    and the other matrices of the pattern skip the checks.
     """
     k = len(pivots)
+    pivots = tuple(pivots)
     pivot_set = set(pivots)
     free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set]
     template = [[0] * n for i in range(k)]
     for i, piv in enumerate(pivots):
         template[i][piv] = 1
+    FpCode(p, n, tuple(tuple(row) for row in template), pivots)
     for values in itertools.product(range(p), repeat=len(free)):
         for (i, j), v in zip(free, values):
             template[i][j] = v
-        yield FpCode(p, n, tuple(tuple(row) for row in template), tuple(pivots))
+        code = object.__new__(FpCode)  # the frozen fields, without __post_init__
+        code.__dict__.update(p=p, n=n, basis=tuple(tuple(row) for row in template), pivots=pivots)
+        yield code
 
 
 def iter_subspaces(p: int, n: int, dims: Sequence[int] | None = None) -> Iterator[FpCode]:

@@ -7,7 +7,7 @@ relations, and searches walk the full ambient space.  Deliberately slow,
 usable only at tiny lengths.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 # defining relations on the basis: r*r=r, r*s=r, s*r=s, s*s=s
 _BASIS_MUL = {
@@ -158,3 +158,51 @@ def torsion_of(p, n, words):
     return {
         v for v in product(range(p), repeat=n) if embed_t(p, v) in words
     }
+
+
+def brute_rref(p, rows, n):
+    """Reduced row echelon form of the nonzero rows, by plain elimination."""
+    work = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        head = pow(work[rank][col], p - 2, p)
+        work[rank] = [(head * v) % p for v in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                c = work[i][col]
+                work[i] = [(a - c * b) % p for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return work[:rank]
+
+
+def brute_canonical_key(p, n, bases):
+    """The canonical key straight from its definition.
+
+    ``bases`` lists the basis rows of each code (one code, or the residue
+    and torsion of an E_p code).  Every monomial map (perm, scale) is applied
+    to every code; the image's serialization reads the columns of the RREF
+    images one after another, each column joining the codes' entries in
+    order.  The key is the least serialization over all (p-1)^n n! maps,
+    behind the header (p, n, dimension of each code).
+    """
+    best = None
+    for perm in permutations(range(n)):
+        for scale in product(range(1, p), repeat=n):
+            images = []
+            for rows in bases:
+                mapped = []
+                for row in rows:
+                    y = [0] * n
+                    for i, v in enumerate(row):
+                        y[perm[i]] = (scale[perm[i]] * v) % p
+                    mapped.append(y)
+                images.append(brute_rref(p, mapped, n))
+            ser = [v for j in range(n) for image in images for v in (row[j] for row in image)]
+            if best is None or ser < best:
+                best = ser
+    header = [p, n] + [len(brute_rref(p, rows, n)) for rows in bases]
+    return bytes(header + best)

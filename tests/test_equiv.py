@@ -22,6 +22,7 @@ from epcodes import (
     equivalent_fp,
     iter_subspaces,
 )
+from oracles import brute_canonical_key
 from test_code import B_CODE, C_CODE, _pairs, _words
 
 
@@ -230,6 +231,34 @@ def test_canonical_form_ep_is_invariant():
         assert canonical_key(code) == key
     # the B and C codes get distinct keys
     assert canonical_key(B_CODE) != canonical_key(C_CODE)
+
+
+def test_canonical_keys_match_their_definition():
+    # the least serialization over the whole monomial group, by brute force
+    for p, max_n in ((2, 5), (3, 4)):
+        for n in range(1, max_n + 1):
+            for c in iter_subspaces(p, n):
+                assert canonical_key_fp(c) == brute_canonical_key(p, n, [c.basis])
+    for p, n in ((2, 3), (2, 4), (3, 2), (3, 3)):
+        for code in _pairs(p, n):
+            bases = [code.residue.basis, code.torsion.basis]
+            assert canonical_key(code) == brute_canonical_key(p, n, bases)
+
+
+def test_canonical_form_is_invariant_on_large_automorphism_groups():
+    # groups of order up to 10!, far beyond the random codes above
+    n = 10
+    rep5 = [tuple([1] * 5 + [0] * 5), tuple([0] * 5 + [1] * 5)]
+    even = [tuple(1 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)]
+    rng = random.Random(50)
+    for c in (FpCode.full(2, n), FpCode.from_rows(2, even, n), FpCode.from_rows(2, rep5, n)):
+        form = canonical_form_fp(c)
+        for _ in range(3):
+            assert canonical_form_fp(_random_map_fp(rng, 2, n).apply(c)) == form
+    code = EpCode(FpCode.zero(3, 6), FpCode.full(3, 6))
+    form = canonical_form(code)
+    for _ in range(3):
+        assert canonical_form(_random_map_ep(rng, 3, 6).apply(code)) == form
 
 
 def test_canonical_form_free_matches_the_joint_search():

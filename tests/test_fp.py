@@ -5,6 +5,7 @@ import random
 import pytest
 
 from epcodes import FpCode, MdsStatus, gaussian_binomial, iter_subspaces, rref
+from epcodes.fp import iter_pivot_patterns, iter_subspaces_with_pivots
 from oracles import brute_fp_dual, fp_span
 
 
@@ -157,6 +158,22 @@ def test_iter_subspaces_counts_match_gaussian_binomials():
                 count = sum(1 for c in seen if c.k == k)
                 assert count == gaussian_binomial(n, k, p)
     assert gaussian_binomial(6, 3, 2) == 1395
+
+
+def test_enumerated_codes_equal_fully_checked_codes():
+    # the walk checks each pivot pattern's template once and skips the
+    # RREF checks for the rest; rebuilding through the checks must agree
+    for p, max_n in ((2, 5), (3, 4)):
+        for n in range(1, max_n + 1):
+            for k in range(n + 1):
+                for pivots in iter_pivot_patterns(n, k):
+                    for code in iter_subspaces_with_pivots(p, n, pivots):
+                        checked = FpCode(p, n, code.basis, code.pivots)
+                        assert code == checked and hash(code) == hash(checked)
+                        assert FpCode.from_rows(p, code.basis, n) == code
+    # the template still goes through the checks
+    with pytest.raises(ValueError):
+        list(iter_subspaces_with_pivots(4, 2, (0,)))
 
 
 def test_iter_subspaces_dims_filter():
