@@ -1,12 +1,15 @@
 """Exhaustive classification and reference-table verification.
 
 LCD, left self-dual and self-dual codes are classified by one pipeline,
-driven by a row of :data:`CENSUSES` per kind: it walks the residue subspaces
-of F_p^n grouped by RREF pivot pattern, keeps those satisfying the census's
-predicate, lifts them to E_p and deduplicates through the canonical form, so
-the output is independent of enumeration order and of the worker count.  The
-algorithms are unbounded in n; the budget below is only a guardrail against
-runs that cannot finish at desk scale.
+driven by a row of :data:`CENSUSES` per kind: for each RREF pivot pattern it
+walks the census's residue subspaces, lifts them to E_p and deduplicates
+through the canonical form, so the output is independent of walk order and of
+the worker count.  The LCD census walks every subspace of the pattern and
+keeps those that pass ``is_lcd``; the left self-dual and self-dual censuses
+walk only the self-orthogonal ones (``fp.iter_self_orthogonal_with_pivots``),
+which prunes a basis row by row.  The algorithms are unbounded in n; the
+budget below is only a guardrail against runs that cannot finish at desk
+scale.
 """
 
 from __future__ import annotations
@@ -25,7 +28,15 @@ from .equiv import (
     canonical_form,
     canonical_form_free,
 )
-from .fp import FpCode, MdsStatus, iter_pivot_patterns, iter_subspaces, iter_subspaces_with_pivots
+from .fp import (
+    FpCode,
+    MdsStatus,
+    Vec,
+    iter_pivot_patterns,
+    iter_self_orthogonal_with_pivots,
+    iter_subspaces,
+    iter_subspaces_with_pivots,
+)
 from .tables import CountTable, MatrixTable, TableRow, load_table
 
 CLASSIFY_BUDGET = {2: 8, 3: 6}
@@ -165,31 +176,37 @@ class Classification:
 
 @dataclass(frozen=True)
 class Census:
-    """How one kind of code is classified: residues of dimension ``dims(n)``
-    satisfying ``keep`` are lifted by ``lift``, every class found must satisfy
-    ``check``, and ``noun`` names the classes in report notes."""
+    """How one kind of code is classified: for each pivot pattern of dimension
+    in ``dims(n)``, the residues that ``walk(p, n, pivots)`` yields are lifted
+    by ``lift``, every class found must satisfy ``check``, and ``noun`` names
+    the classes in report notes.  The LCD walk filters every subspace of the
+    pattern; the self-dual walks emit only self-orthogonal residues."""
 
     dims: Callable[[int], Iterable[int]]
-    keep: Callable[[FpCode], bool]
+    walk: Callable[[int, int, Vec], Iterable[FpCode]]
     lift: Callable[[FpCode], EpCode]
     check: Callable[[EpCode], bool]
     noun: str
+
+
+def _lcd_walk(p: int, n: int, pivots: Vec) -> Iterable[FpCode]:
+    return (s for s in iter_subspaces_with_pivots(p, n, pivots) if s.is_lcd)
 
 
 CENSUSES = {
     # LCD codes are exactly the free lifts r*G of the LCD codes over F_p
     "lcd": Census(
         dims=lambda n: range(n + 1),
-        keep=lambda s: s.is_lcd,
+        walk=_lcd_walk,
         lift=EpCode.free_code,
         check=lambda c: c.is_lcd,
         noun="LCD",
     ),
     # left self-dual codes are the free lifts of self-dual residue codes, so
-    # only dimension n/2 contributes
+    # only dimension n/2 of an even length contributes
     "left-self-dual": Census(
-        dims=lambda n: (n // 2,),
-        keep=lambda s: s.is_self_dual,
+        dims=lambda n: () if n % 2 else (n // 2,),
+        walk=iter_self_orthogonal_with_pivots,
         lift=EpCode.free_code,
         check=lambda c: c.is_left_self_dual,
         noun="left self-dual",
@@ -197,7 +214,7 @@ CENSUSES = {
     # self-dual codes are the pairs (R, dual(R)) with R self-orthogonal
     "self-dual": Census(
         dims=lambda n: range(n // 2 + 1),
-        keep=lambda s: s.is_self_orthogonal,
+        walk=iter_self_orthogonal_with_pivots,
         lift=lambda s: EpCode(s, s.dual),
         check=lambda c: c.is_self_dual and c.is_qsd and c.cardinality_exp == c.n,
         noun="self-dual",
@@ -221,14 +238,13 @@ def _canonical(code: EpCode) -> tuple[bytes, EpCode]:
 
 
 def _shard(args: tuple[str, int, int, tuple[int, ...]]) -> dict[bytes, EpCode]:
-    """Classify the subspaces of one pivot pattern; pure and order-free."""
+    """Classify the residues one pivot pattern walks; pure and order-free."""
     name, p, n, pivots = args
     census = CENSUSES[name]
     out: dict[bytes, EpCode] = {}
-    for sub in iter_subspaces_with_pivots(p, n, pivots):
-        if census.keep(sub):
-            key, rep = _canonical(census.lift(sub))
-            out.setdefault(key, rep)
+    for sub in census.walk(p, n, pivots):
+        key, rep = _canonical(census.lift(sub))
+        out.setdefault(key, rep)
     return out
 
 

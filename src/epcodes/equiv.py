@@ -204,6 +204,11 @@ class MonomialMapEp:
 # a new pivot never touch previously assigned columns, which makes the
 # serialization append-only.
 #
+# A node serializes every candidate (_serialize reads one column per
+# matrix), which is all that sorting, the bound and the target match
+# need; the row reduction that builds a successor state (_enter) runs only
+# for the candidates the search actually enters.
+#
 # _minimize (canonical forms) and _witness (equivalence) are the engine's
 # only callers; the public entry points below go through them.
 #
@@ -226,24 +231,35 @@ class MonomialMapEp:
 # ---------------------------------------------------------------------------
 
 
-def _append_column(
+def _serialize(
     mats: list[list[list[int]]], ranks: list[int], s: int, u: int, p: int
-) -> tuple[tuple[int, ...], list[list[list[int]]], list[int]]:
-    """Serialized bytes plus successor state for one assignment."""
-    inv = inverse_table(p)
+) -> tuple[int, ...]:
+    """The image RREF column, over every matrix, of assigning (s, u)."""
     ser: list[int] = []
+    for W, rank in zip(mats, ranks):
+        col = [(u * row[s]) % p for row in W]
+        if any(col[rank:]):
+            ser.extend(1 if i == rank else 0 for i in range(len(W)))
+        else:
+            ser.extend(col)
+    return tuple(ser)
+
+
+def _enter(
+    mats: list[list[list[int]]], ranks: list[int], s: int, u: int, p: int
+) -> tuple[list[list[list[int]]], list[int]]:
+    """The successor state of assigning (s, u): each matrix row-reduced
+    against the new column, and its rank."""
+    inv = inverse_table(p)
     new_mats: list[list[list[int]]] = []
     new_ranks: list[int] = []
     for W, rank in zip(mats, ranks):
         k = len(W)
-        col = [(u * row[s]) % p for row in W]
-        pivot = next((i for i in range(rank, k) if col[i]), None)
+        pivot = next((i for i in range(rank, k) if W[i][s]), None)
         if pivot is None:
-            ser.extend(col)
             new_mats.append(W)
             new_ranks.append(rank)
             continue
-        ser.extend(1 if i == rank else 0 for i in range(k))
         W2 = [row[:] for row in W]
         W2[rank], W2[pivot] = W2[pivot], W2[rank]
         head = inv[(u * W2[rank][s]) % p]
@@ -255,7 +271,7 @@ def _append_column(
                     W2[i] = [(a - c * b) % p for a, b in zip(W2[i], W2[rank])]
         new_mats.append(W2)
         new_ranks.append(rank + 1)
-    return tuple(ser), new_mats, new_ranks
+    return new_mats, new_ranks
 
 
 def _source_classes(
@@ -372,15 +388,13 @@ def _search(
             if anchor not in reps:
                 reps[anchor] = s
                 for u in units if f else [1]:
-                    ser, mats2, ranks2 = _append_column(mats, ranks, s, u, p)
-                    candidates.append((ser, s, u, mats2, ranks2))
-        # (ser, s, u) is unique per candidate, so the sort never compares states
+                    candidates.append((_serialize(mats, ranks, s, u, p), s, u))
         candidates.sort()
         # orbits of the candidates under the generators that fix the prefix
         parent: dict[tuple[int, int], tuple[int, int]] = {}
         merged = 0
         explored: list[tuple[int, int]] = []
-        for ser, s, u, mats2, ranks2 in candidates:
+        for ser, s, u in candidates:
             if target is not None:
                 if ser != target[t]:
                     continue
@@ -397,6 +411,7 @@ def _search(
                 if any(_find(parent, e) == root for e in explored):
                     continue
                 explored.append((s, u))
+            mats2, ranks2 = _enter(mats, ranks, s, u, p)
             rest = [x for x in unassigned if x != s]
             back = rec(mats2, ranks2, rest, prefix + [ser], sources + [s], scales + [u])
             if back is not None and back < t:

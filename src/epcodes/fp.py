@@ -323,30 +323,82 @@ def iter_pivot_patterns(n: int, k: int) -> Iterator[Vec]:
     return iter(itertools.combinations(range(n), k))
 
 
-def iter_subspaces_with_pivots(p: int, n: int, pivots: Vec) -> Iterator[FpCode]:
-    """Yield every subspace of F_p^n whose RREF has the given pivots.
+def _pattern_rows(p: int, n: int, pivots: Vec) -> list[list[Vec]]:
+    """Every filling of each RREF row of a pivot pattern, in lex order.
 
-    RREF matrices are parameterized exactly by their free entries: entry
-    (i, j) is free iff j > pivots[i] and j is not itself a pivot column.
-    The matrices are emitted directly in reduced form, no elimination.
-    The RREF checks of ``FpCode`` read only pivot columns and the entries
-    left of each pivot, never a free entry, so the template is checked once
-    and the other matrices of the pattern skip the checks.
+    Entry (i, j) is free iff j > pivots[i] and j is not itself a pivot
+    column.  The RREF checks of ``FpCode`` read only pivot columns and the
+    entries left of each pivot, never a free entry, so the pattern's
+    template is checked here once and the codes built from these rows skip
+    the checks (:func:`_unchecked`).
     """
-    k = len(pivots)
-    pivots = tuple(pivots)
     pivot_set = set(pivots)
-    free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set]
-    template = [[0] * n for i in range(k)]
+    template = [[0] * n for _ in pivots]
     for i, piv in enumerate(pivots):
         template[i][piv] = 1
     FpCode(p, n, tuple(tuple(row) for row in template), pivots)
-    for values in itertools.product(range(p), repeat=len(free)):
-        for (i, j), v in zip(free, values):
-            template[i][j] = v
-        code = object.__new__(FpCode)  # the frozen fields, without __post_init__
-        code.__dict__.update(p=p, n=n, basis=tuple(tuple(row) for row in template), pivots=pivots)
-        yield code
+    rows = []
+    for i, piv in enumerate(pivots):
+        free = [j for j in range(piv + 1, n) if j not in pivot_set]
+        fillings = []
+        for values in itertools.product(range(p), repeat=len(free)):
+            for j, v in zip(free, values):
+                template[i][j] = v
+            fillings.append(tuple(template[i]))
+        rows.append(fillings)
+    return rows
+
+
+def _unchecked(p: int, n: int, basis: Mat, pivots: Vec) -> FpCode:
+    code = object.__new__(FpCode)  # the frozen fields, without __post_init__
+    code.__dict__.update(p=p, n=n, basis=basis, pivots=pivots)
+    return code
+
+
+def iter_subspaces_with_pivots(p: int, n: int, pivots: Vec) -> Iterator[FpCode]:
+    """Yield every subspace of F_p^n whose RREF has the given pivots.
+
+    RREF matrices are parameterized exactly by their free entries, so the
+    matrices are emitted directly in reduced form, no elimination: one
+    filling of each row (:func:`_pattern_rows`) per subspace.
+
+    The LCD census walks this and keeps the codes that pass ``is_lcd``; the
+    self-dual censuses walk :func:`iter_self_orthogonal_with_pivots`.
+    """
+    pivots = tuple(pivots)
+    for basis in itertools.product(*_pattern_rows(p, n, pivots)):
+        yield _unchecked(p, n, basis, pivots)
+
+
+def iter_self_orthogonal_with_pivots(p: int, n: int, pivots: Vec) -> Iterator[FpCode]:
+    """Yield every self-orthogonal subspace of F_p^n with the given pivots.
+
+    A backtracking walk over the RREF rows of the pattern, filled from the
+    last row (fewest free entries) to the first: a row is kept only if it is
+    isotropic and orthogonal to every row already chosen.  Any subset of the
+    rows of a self-orthogonal basis spans a self-orthogonal code, so a
+    rejected row ends its branch, and the walk emits exactly the
+    self-orthogonal codes with this pattern, each once.
+
+    The left-self-dual census walks the patterns of dimension n/2 and the
+    self-dual census those of every dimension up to n/2.
+    """
+    pivots = tuple(pivots)
+    # each row's isotropic fillings; orthogonality is checked during the walk
+    options = [[r for r in rows if vec_dot(r, r, p) == 0] for rows in _pattern_rows(p, n, pivots)]
+    chosen: list[Vec] = [()] * len(pivots)
+
+    def fill(i: int) -> Iterator[FpCode]:
+        if i < 0:
+            yield _unchecked(p, n, tuple(chosen), pivots)
+            return
+        below = chosen[i + 1:]
+        for row in options[i]:
+            if all(vec_dot(row, other, p) == 0 for other in below):
+                chosen[i] = row
+                yield from fill(i - 1)
+
+    yield from fill(len(pivots) - 1)
 
 
 def iter_subspaces(p: int, n: int, dims: Sequence[int] | None = None) -> Iterator[FpCode]:

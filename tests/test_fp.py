@@ -1,11 +1,16 @@
 """Linear algebra over F_p against span-based brute force."""
 
+import math
 import random
 
 import pytest
 
 from epcodes import FpCode, MdsStatus, gaussian_binomial, iter_subspaces, rref
-from epcodes.fp import iter_pivot_patterns, iter_subspaces_with_pivots
+from epcodes.fp import (
+    iter_pivot_patterns,
+    iter_self_orthogonal_with_pivots,
+    iter_subspaces_with_pivots,
+)
 from oracles import brute_fp_dual, fp_span
 
 
@@ -174,6 +179,44 @@ def test_enumerated_codes_equal_fully_checked_codes():
     # the template still goes through the checks
     with pytest.raises(ValueError):
         list(iter_subspaces_with_pivots(4, 2, (0,)))
+
+
+def test_self_orthogonal_walk_equals_the_filtered_enumeration():
+    for p, max_n in ((2, 8), (3, 6)):
+        for n in range(1, max_n + 1):
+            for k in range(n // 2 + 1):
+                for pivots in iter_pivot_patterns(n, k):
+                    walked = list(iter_self_orthogonal_with_pivots(p, n, pivots))
+                    assert len(walked) == len(set(walked))
+                    filtered = {
+                        c for c in iter_subspaces_with_pivots(p, n, pivots) if c.is_self_orthogonal
+                    }
+                    assert set(walked) == filtered
+                    for code in walked:
+                        checked = FpCode(p, n, code.basis, code.pivots)
+                        assert code == checked and hash(code) == hash(checked)
+    # the template still goes through the checks
+    with pytest.raises(ValueError):
+        list(iter_self_orthogonal_with_pivots(4, 2, (0,)))
+
+
+def _self_dual_count(p, n):
+    return sum(
+        1
+        for pivots in iter_pivot_patterns(n, n // 2)
+        for _ in iter_self_orthogonal_with_pivots(p, n, pivots)
+    )
+
+
+def test_self_dual_counts_match_the_closed_forms():
+    # Pless (1965): prod_{i=1}^{n/2-1} (2^i + 1) binary self-dual codes of
+    # even length n, and 2 prod_{i=1}^{n/2-1} (3^i + 1) ternary ones for n = 0 mod 4
+    for n in (2, 4, 6, 8, 10):
+        assert _self_dual_count(2, n) == math.prod(2**i + 1 for i in range(1, n // 2))
+    for n in (4, 8):
+        assert _self_dual_count(3, n) == 2 * math.prod(3**i + 1 for i in range(1, n // 2))
+    # -1 is not a square mod 3, so no ternary self-dual code has n = 2 mod 4
+    assert _self_dual_count(3, 6) == 0
 
 
 def test_iter_subspaces_dims_filter():
