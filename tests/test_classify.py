@@ -19,6 +19,7 @@ from epcodes import (
     ternary_lcd_lower_bound,
     verify_table,
 )
+from epcodes.fp import iter_pivot_patterns, iter_subspaces_with_pivots
 
 
 def _row_key(row):
@@ -155,6 +156,33 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     huge = classify_lcd(2, 4, workers=10**6)
     assert _SerialPool.sizes == [3]
     assert huge == one
+
+
+def test_pool_gets_one_shard_at_a_time_largest_first(monkeypatch):
+    # a few patterns hold most of the work, so batching them onto one worker
+    # would leave the other idle; free RREF entries measure a pattern's size
+    mapped = []
+
+    class _RecordingPool(_SerialPool):
+        def map(self, fn, args, chunksize=1):
+            mapped.append((list(args), chunksize))
+            return map(fn, mapped[-1][0])
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(classify, "_cache", {})
+    one = classify_self_dual(3, 4, workers=1)
+    classify._cache.clear()
+    two = classify_self_dual(3, 4, workers=2)
+    assert two == one
+    [(args, chunksize)] = mapped
+    assert chunksize == 1
+    patterns = [a[3] for a in args]
+    assert sorted(patterns) == sorted(q for k in range(3) for q in iter_pivot_patterns(4, k))
+    sizes = [classify._free_entries(4, q) for q in patterns]
+    assert sizes == sorted(sizes, reverse=True)
+    for q in patterns:
+        assert 3 ** classify._free_entries(4, q) == sum(1 for _ in iter_subspaces_with_pivots(3, 4, q))
 
 
 def test_classification_cache_returns_the_same_object(monkeypatch):
