@@ -8,8 +8,10 @@ the worker count.  The LCD census walks every subspace of the pattern and
 keeps those that pass ``is_lcd``; the left self-dual and self-dual censuses
 walk only the self-orthogonal ones (``fp.iter_self_orthogonal_with_pivots``),
 which prunes a basis row by row.  The algorithms are unbounded in n; the
-budget below is only a guardrail against runs that cannot finish at desk
-scale.
+``budget`` of each census row is only a guardrail against runs that cannot
+finish at desk scale, and it is the one length gate of its census: the
+``classify_*`` functions, the ternary bound and the default scope of the
+table verifier all read it.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from .fp import (
 )
 from .tables import CountTable, MatrixTable, TableRow, load_table
 
-CLASSIFY_BUDGET = {2: 8, 3: 6}
-
 # (table, label) of the rows that are defective in print, with the reason;
 # their discrepancy is a confirmed finding, not a verification failure, and
 # {d} stands for the recomputed minimum distance
@@ -53,33 +53,10 @@ KNOWN_DISCREPANCIES = {
 }
 
 
-def classify_budget(p: int) -> int:
-    """Largest length classified without force.  Only p = 2 and p = 3 can be
-    classified at all: for larger primes the scalings of the monomial group
-    are not isometries, so LCD and self-dual classes have representatives
-    that need not satisfy the defining predicate."""
-    if p not in CLASSIFY_BUDGET:
-        raise ValueError(
-            f"classification supports p in (2, 3) only, got {p!r}; monomial "
-            "scalings preserve the inner product just for these moduli"
-        )
-    return CLASSIFY_BUDGET[p]
-
-
 def validate_workers(workers: int) -> None:
     """Reject worker counts below one."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
-
-
-def _check_request(p: int, n: int, workers: int, force: bool) -> None:
-    validate_workers(workers)
-    limit = classify_budget(p)
-    if not force and n > limit:
-        raise BudgetExceeded(
-            f"classification refused at n={n} for p={p}; largest feasible n is {limit}",
-            largest_feasible=limit,
-        )
 
 
 @dataclass(frozen=True)
@@ -180,19 +157,29 @@ class Census:
     in ``dims(n)``, the residues that ``walk(p, n, pivots)`` yields are lifted
     by ``lift``, every class found must satisfy ``check``, and ``noun`` names
     the classes in report notes.  The LCD walk filters every subspace of the
-    pattern; the self-dual walks emit only self-orthogonal residues."""
+    pattern; the self-dual walks emit only self-orthogonal residues.
+    ``budget`` maps each supported p to the largest n classified without
+    force."""
 
     dims: Callable[[int], Iterable[int]]
     walk: Callable[[int, int, Vec], Iterable[FpCode]]
     lift: Callable[[FpCode], EpCode]
     check: Callable[[EpCode], bool]
     noun: str
+    budget: dict[int, int]
 
 
 def _lcd_walk(p: int, n: int, pivots: Vec) -> Iterable[FpCode]:
     return (s for s in iter_subspaces_with_pivots(p, n, pivots) if s.is_lcd)
 
 
+# The cost of each census at its budget and past it (the next even length
+# for the self-dual kinds), one in-process run each with force=True and one
+# worker (2-CPU x86-64, Python 3.11):
+#   lcd             p=2  n=6 1.0 s, n=7 34 s     p=3  n=5 1.9 s, n=6 168 s
+#   left-self-dual  p=2  n=8 0.12 s, n=10 4.8 s  p=3  n=6 0.00 s, n=8 9.3 s
+#   self-dual       p=2  n=8 4.0 s, n=10 > 150 s p=3  n=6 0.68 s, n=8 > 150 s
+# Odd lengths hold no left self-dual code, and at p=3 none of length 6.
 CENSUSES = {
     # LCD codes are exactly the free lifts r*G of the LCD codes over F_p
     "lcd": Census(
@@ -201,6 +188,7 @@ CENSUSES = {
         lift=EpCode.free_code,
         check=lambda c: c.is_lcd,
         noun="LCD",
+        budget={2: 6, 3: 5},
     ),
     # left self-dual codes are the free lifts of self-dual residue codes, so
     # only dimension n/2 of an even length contributes
@@ -210,6 +198,7 @@ CENSUSES = {
         lift=EpCode.free_code,
         check=lambda c: c.is_left_self_dual,
         noun="left self-dual",
+        budget={2: 8, 3: 6},
     ),
     # self-dual codes are the pairs (R, dual(R)) with R self-orthogonal
     "self-dual": Census(
@@ -218,15 +207,44 @@ CENSUSES = {
         lift=lambda s: EpCode(s, s.dual),
         check=lambda c: c.is_self_dual and c.is_qsd and c.cardinality_exp == c.n,
         noun="self-dual",
+        budget={2: 8, 3: 6},
     ),
 }
+
+
+def classify_budget(kind: str, p: int) -> int:
+    """Largest length the census behind a ``CLASSIFY_KINDS`` name classifies
+    without force; ``mds-amds-lcd`` filters the LCD census.  Only p = 2 and
+    p = 3 can be classified at all: for larger primes the scalings of the
+    monomial group are not isometries, so LCD and self-dual classes have
+    representatives that need not satisfy the defining predicate."""
+    budget = CENSUSES[kind.removeprefix("mds-amds-")].budget
+    if p not in budget:
+        raise ValueError(
+            f"classification supports p in (2, 3) only, got {p!r}; monomial "
+            "scalings preserve the inner product just for these moduli"
+        )
+    return budget[p]
+
+
+def _check_request(kind: str, p: int, n: int, workers: int = 1, force: bool = False) -> None:
+    """The one gate of a census request, passed before any work or caching."""
+    validate_workers(workers)
+    limit = classify_budget(kind, p)
+    if n < 1:
+        raise ValueError(f"length must be positive, got {n!r}")
+    if not force and n > limit:
+        raise BudgetExceeded(
+            f"classification refused at n={n} for p={p}; largest feasible n is {limit}",
+            largest_feasible=limit,
+        )
 
 
 def _canonical(code: EpCode) -> tuple[bytes, EpCode]:
     """Canonical key and representative; free codes take the residue search.
 
     Passing n as the cap lifts the canonical budget: every census is gated
-    by the classification budget, which is never above it, and the verifier
+    by its own budget, which is never above it, and the verifier
     canonicalizes only printed rows.
     """
     if code.is_free:
@@ -286,7 +304,7 @@ _cache: dict[tuple[str, int, int], Classification] = {}
 def _census(name: str, p: int, n: int, workers: int, force: bool) -> Classification:
     """Every class of one census, sorted by canonical key; built once per
     (name, p, n), after the request passes the budget."""
-    _check_request(p, n, workers, force)
+    _check_request(name, p, n, workers, force)
     if (name, p, n) not in _cache:
         census = CENSUSES[name]
         merged = _run_shards(name, p, n, workers)
@@ -326,7 +344,7 @@ def classify_left_self_dual(
     """MDS/AMDS left self-dual codes over E_p of length n; odd lengths are
     empty outright, since a self-dual residue code has dimension n/2."""
     if n % 2:
-        _check_request(p, n, workers, force)
+        _check_request("left-self-dual", p, n, workers, force)
         return Classification(
             "left-self-dual", p, n, (), 0,
             "odd length: a self-dual residue code would need dimension n/2",
@@ -410,12 +428,9 @@ def right_self_dual_report(p: int, n: int) -> RightSelfDualReport:
 
 
 def ternary_lcd_lower_bound(n: int) -> int:
-    """Sum over m of ceil(phi(n, m) / (2^(n-1) n!)) for raw LCD counts phi."""
-    if n > 5:
-        raise BudgetExceeded(
-            f"raw LCD subspace counting refused at n={n}; largest feasible n is 5",
-            largest_feasible=5,
-        )
+    """Sum over m of ceil(phi(n, m) / (2^(n-1) n!)) for raw LCD counts phi;
+    it walks the subspaces of the LCD census, so it takes that budget."""
+    _check_request("lcd", 3, n)
     denom = 2 ** (n - 1) * factorial(n)
     bound = 0
     for m in range(n + 1):
@@ -467,13 +482,10 @@ class TableReport:
         )
 
 
-# verification scope per table: lengths recomputed by default; rows beyond
-# are reported as skipped rather than silently dropped
-_VERIFY_SCOPE = {1: 6, 2: 5, 3: 6, 4: 5, 5: 6, 6: 5, 7: 8, 8: 6, 9: 6, 10: 4}
-
-
-# matrix table kind -> the census that re-derives it and its CLASSIFY_KINDS name
+# table kind -> the census that re-derives it and its CLASSIFY_KINDS name
 _TABLE_KINDS = {
+    "lcd-totals": ("lcd", "lcd"),
+    "lcd-by-distance": ("lcd", "lcd"),
     "mds-amds-lcd": ("lcd", "mds-amds-lcd"),
     "mds-amds-left-self-dual": ("left-self-dual", "left-self-dual"),
     "mds-amds-self-dual": ("self-dual", "self-dual"),
@@ -493,7 +505,7 @@ def _direct_row_check(row: TableRow, census: Census) -> tuple[bool, str]:
     return not problems, "; ".join(problems)
 
 
-def _verify_counts(table: CountTable, limit: int, workers: int, force: bool) -> TableReport:
+def _verify_counts(table: CountTable, limit: int, workers: int) -> TableReport:
     verdicts = []
     notes = (
         "totals count the zero code as one class",
@@ -508,7 +520,7 @@ def _verify_counts(table: CountTable, limit: int, workers: int, force: bool) -> 
                 )
             )
             continue
-        cls_ = classify_lcd(table.p, n, workers=workers, force=force)
+        cls_ = classify_lcd(table.p, n, workers=workers, force=True)
         if table.kind == "lcd-totals":
             want, got = table.total(n), cls_.total
             ok = want == got
@@ -525,7 +537,7 @@ def _verify_counts(table: CountTable, limit: int, workers: int, force: bool) -> 
     return TableReport(table.table_id, tuple(verdicts), notes)
 
 
-def _verify_matrices(table: MatrixTable, limit: int, workers: int, force: bool) -> TableReport:
+def _verify_matrices(table: MatrixTable, limit: int, workers: int) -> TableReport:
     verdicts: list[RowVerdict] = []
     notes: list[str] = []
     census, kind = _TABLE_KINDS[table.kind]
@@ -591,16 +603,16 @@ def _verify_matrices(table: MatrixTable, limit: int, workers: int, force: bool) 
     census_lengths: list[int] = []
     max_len = max(limit, max(table.lengths(), default=0))
     for n in range(1, max_len + 1):
-        in_table = n in table.lengths()
-        if table.kind == "mds-amds-lcd":
-            if not in_table:
-                continue  # these tables print every length in scope
-        elif n % 2:
+        if n % 2 and table.kind != "mds-amds-lcd":
             continue  # odd lengths are excluded by the even-length theorem
-        if n <= limit:
+        if n > table.last_n:
+            verdicts.append(
+                RowVerdict(f"n={n} census", Verdict.SKIPPED, detail="beyond the printed range")
+            )
+        elif n <= limit:
             census_lengths.append(n)
         else:
-            tail = "; the rows above were checked directly" if in_table else ""
+            tail = "; the rows above were checked directly" if n in table.lengths() else ""
             verdicts.append(
                 RowVerdict(
                     f"n={n} census", Verdict.SKIPPED,
@@ -609,7 +621,7 @@ def _verify_matrices(table: MatrixTable, limit: int, workers: int, force: bool) 
             )
     # compare each length block in scope against exhaustive classification
     for n in census_lengths:
-        cls_ = CLASSIFY_KINDS[kind](table.p, n, workers=workers, force=force)
+        cls_ = CLASSIFY_KINDS[kind](table.p, n, workers=workers, force=True)
         fixture_keys = set(block_keys(n))
         label = f"n={n} census" + ("" if fixture_keys else " (absent length)")
         if fixture_keys == cls_.keys():
@@ -633,20 +645,19 @@ def _verify_matrices(table: MatrixTable, limit: int, workers: int, force: bool) 
     return TableReport(table.table_id, tuple(verdicts), tuple(notes))
 
 
-def verify_table(
-    table_id: int,
-    max_n: int | None = None,
-    workers: int = 1,
-    force: bool = False,
-) -> TableReport:
+def verify_table(table_id: int, max_n: int | None = None, workers: int = 1) -> TableReport:
     """Recompute one published table and give every row a verdict.
 
-    A discrepancy is a first-class result: the report never raises just
-    because print and recomputation disagree.
+    The default scope is the census budget at the table's p, cut to the last
+    length the paper covers; an explicit ``max_n`` replaces it and lifts the
+    budget, so the censuses below run forced.  A discrepancy is a first-class
+    result: the report never raises just because print and recomputation
+    disagree.
     """
     validate_workers(workers)
     table = load_table(table_id)
-    limit = _VERIFY_SCOPE[table_id] if max_n is None else max_n
+    kind = _TABLE_KINDS[table.kind][1]
+    limit = min(classify_budget(kind, table.p), table.last_n) if max_n is None else max_n
     if isinstance(table, CountTable):
-        return _verify_counts(table, limit, workers, force)
-    return _verify_matrices(table, limit, workers, force)
+        return _verify_counts(table, limit, workers)
+    return _verify_matrices(table, limit, workers)

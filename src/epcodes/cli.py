@@ -13,7 +13,9 @@ Exit codes are stable contracts:
   3  generator matrix syntax error
   4  invalid parameters (unsupported modulus, bad length, mismatched pair,
      fewer than one worker)
-  5  refused: length beyond the classification budget and no --force
+  5  refused: classify past its census budget without --force, or equiv
+     past the canonical budget (CANON_BUDGET) without --max-n;
+     verify-tables never refuses, since its --max-n lifts the budget
   6  ragged generator matrix (wrong number of entries in a row)
 """
 
@@ -191,23 +193,20 @@ def _classification_lines(cls_, fmt: str) -> list[str]:
 def cmd_classify(args: argparse.Namespace) -> int:
     try:
         validate_modulus(args.p)
-        if args.n < 1:
-            raise ValueError("length must be positive")
         validate_workers(args.workers)
-        budget = classify_budget(args.p)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-    if args.force and args.n > budget:
-        print(
-            f"warning: n={args.n} is beyond the classification budget for "
-            f"p={args.p}; this run may take very long",
-            file=sys.stderr,
-        )
-    try:
+        budget = classify_budget(args.kind, args.p)
+        if args.force and args.n > budget:
+            print(
+                f"warning: n={args.n} is beyond the {args.kind} budget of n={budget} "
+                f"for p={args.p}; this run may take very long",
+                file=sys.stderr,
+            )
         cls_ = CLASSIFY_KINDS[args.kind](
             args.p, args.n, workers=args.workers, force=args.force
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
     except BudgetExceeded as exc:
         print(f"refused: {exc}; pass --force to proceed anyway", file=sys.stderr)
         return EXIT_BUDGET
@@ -249,18 +248,10 @@ def cmd_verify_tables(args: argparse.Namespace) -> int:
     ok = True
     for table_id in table_ids:
         try:
-            report = verify_table(
-                table_id,
-                max_n=args.max_n,
-                workers=args.workers,
-                force=args.force,
-            )
+            report = verify_table(table_id, max_n=args.max_n, workers=args.workers)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARAMS
-        except BudgetExceeded as exc:
-            print(f"refused: {exc}; pass --force to proceed anyway", file=sys.stderr)
-            return EXIT_BUDGET
         lines.extend(_table_lines(table_id, report, args.format))
         ok = ok and (report.confirmed if args.strict else report.acceptable)
     _emit(lines, args.out)
@@ -342,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument(
         "--workers", type=int, default=1, help="parallel workers, capped at the CPU count"
     )
-    p_cl.add_argument("--force", action="store_true", help="ignore the length budget")
+    p_cl.add_argument("--force", action="store_true", help="lift the census budget")
     _add_common(p_cl)
     p_cl.set_defaults(func=cmd_classify)
 
@@ -350,11 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_vt.add_argument(
         "--table", type=int, action="append", metavar="ID", help="table id, repeatable"
     )
-    p_vt.add_argument("--max-n", type=int, default=None, help="verification scope cap")
+    p_vt.add_argument(
+        "--max-n", type=int, default=None, metavar="N",
+        help="verify census lengths up to N, lifting the census budget "
+        "(default: the budget, cut to the printed range)",
+    )
     p_vt.add_argument(
         "--workers", type=int, default=1, help="parallel workers, capped at the CPU count"
     )
-    p_vt.add_argument("--force", action="store_true", help="ignore the length budget")
     p_vt.add_argument(
         "--strict", action="store_true",
         help="fail on known printed defects instead of allowlisting them",
@@ -365,7 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq = subs.add_parser("equiv", help="test two matrices for monomial equivalence")
     p_eq.add_argument("first", help="matrix file, - for stdin")
     p_eq.add_argument("second", help="matrix file")
-    p_eq.add_argument("--max-n", type=int, default=None, help="search budget cap")
+    p_eq.add_argument(
+        "--max-n", type=int, default=None, metavar="N",
+        help="lift the canonical budget (CANON_BUDGET) to length N",
+    )
     _add_common(p_eq)
     p_eq.set_defaults(func=cmd_equiv)
 

@@ -52,10 +52,12 @@ class BudgetExceeded(RuntimeError):
         self.largest_feasible = largest_feasible
 
 
-# Largest length canonicalized without an explicit override.  Automorphism
-# pruning makes highly symmetric codes cheap (F_2^10 takes milliseconds);
-# the cost left is in prefixes that tie the incumbent's without an
-# automorphism behind them.  The values predate the pruning.
+# Largest length canonicalized without an explicit override.  This is a
+# length guard on one search on outside input, not a cost estimate: with
+# automorphism pruning F_2^13 canonicalizes in 8.7 ms, while the slowest
+# p=2 n=10 witness search of the equiv-batch benchmark took 0.29 s (2-CPU
+# x86-64, Python 3.11, traced); the cost left is in prefixes that tie the
+# incumbent's without an automorphism behind them.
 CANON_BUDGET = {2: 10, 3: 6}
 _CANON_BUDGET_OTHER = 5
 

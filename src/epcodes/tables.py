@@ -2,8 +2,10 @@
 
 The package ships the published classification tables as plain-text
 fixtures under ``epcodes/data``.  Tables 1-4 are count tables; tables
-5-10 list generator matrices in the element token grammar.  Matrix
-blocks may carry a variant marker:
+5-10 list generator matrices in the element token grammar; their
+``last-n`` header line gives the last length the paper covers, since a
+length without a block may hold no such code or lie past the printed
+range.  Matrix blocks may carry a variant marker:
 
 * ``printed``   - kept verbatim although known to be defective,
 * ``corrected`` - replacement for the preceding printed block,
@@ -44,6 +46,11 @@ class CountTable:
         (cell,) = self.cells[n]
         return int(cell)
 
+    @property
+    def last_n(self) -> int:
+        """The last length the paper covers: a count table prints every row."""
+        return max(self.cells)
+
     def by_distance(self, n: int) -> tuple[int, ...]:
         """Counts N1..Nn with printed dashes read as zero."""
         return tuple(0 if c == "-" else int(c) for c in self.cells[n])
@@ -68,12 +75,14 @@ class TableRow:
 
 @dataclass(frozen=True)
 class MatrixTable:
-    """A table of generator matrices grouped by length."""
+    """A table of generator matrices grouped by length, covering lengths up
+    to ``last_n``."""
 
     table_id: int
     p: int
     kind: str
     rows: tuple[TableRow, ...]
+    last_n: int
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(sorted({row.n for row in self.rows}))
@@ -93,20 +102,22 @@ def _data_lines(table_id: int) -> list[str]:
     return lines
 
 
-def _header(lines: list[str], table_id: int) -> tuple[int, str, list[str]]:
-    head, rest = lines[:3], lines[3:]
-    kv = dict(item.split(None, 1) for item in head)
+def _header(lines: list[str], table_id: int, size: int) -> tuple[dict[str, str], list[str]]:
+    kv = dict(item.split(None, 1) for item in lines[:size])
     if int(kv["table"]) != table_id:
         raise ValueError(f"fixture announces table {kv['table']}, wanted {table_id}")
-    return int(kv["p"]), kv["kind"], rest
+    return kv, lines[size:]
 
 
 def load_table(table_id: int) -> CountTable | MatrixTable:
     """Load one bundled table by its published number."""
     if table_id not in TABLE_IDS:
         raise ValueError(f"unknown table id {table_id}; valid ids are 1..10")
-    p, kind, lines = _header(_data_lines(table_id), table_id)
-    if table_id in COUNT_TABLE_IDS:
+    counts = table_id in COUNT_TABLE_IDS
+    # table, p and kind; a matrix fixture adds last-n
+    kv, lines = _header(_data_lines(table_id), table_id, 3 if counts else 4)
+    p, kind = int(kv["p"]), kv["kind"]
+    if counts:
         cells: dict[int, tuple[str, ...]] = {}
         for line in lines:
             head, *rest = line.split()
@@ -147,4 +158,4 @@ def load_table(table_id: int) -> CountTable | MatrixTable:
                 raise ValueError(f"matrix row outside a block in table {table_id}")
             matrix_lines.append(line)
     flush()
-    return MatrixTable(table_id, p, kind, tuple(rows))
+    return MatrixTable(table_id, p, kind, tuple(rows), int(kv["last-n"]))

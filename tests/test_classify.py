@@ -19,6 +19,7 @@ from epcodes import (
     ternary_lcd_lower_bound,
     verify_table,
 )
+from epcodes.classify import CLASSIFY_KINDS
 from epcodes.fp import iter_pivot_patterns, iter_subspaces_with_pivots
 
 
@@ -195,7 +196,7 @@ def test_classification_cache_returns_the_same_object(monkeypatch):
 def test_budget_refusals_and_force():
     with pytest.raises(BudgetExceeded) as err:
         classify_lcd(2, 9)
-    assert err.value.largest_feasible == 8
+    assert err.value.largest_feasible == 6
     with pytest.raises(BudgetExceeded):
         classify_lcd(3, 7)
     with pytest.raises(BudgetExceeded):
@@ -205,10 +206,40 @@ def test_budget_refusals_and_force():
     assert forced.records == () and "odd" in forced.note
 
 
+def test_each_census_takes_its_own_budget(monkeypatch):
+    monkeypatch.setattr(classify, "_cache", {})
+    # lcd at p=2 n=7 takes half a minute, so its budget stops at 6
+    with pytest.raises(BudgetExceeded) as err:
+        classify_lcd(2, 7)
+    assert err.value.largest_feasible == 6
+    with pytest.raises(BudgetExceeded):
+        classify_mds_amds_lcd(3, 6)
+    # the self-orthogonal walk keeps p=2 n=8 left self-dual within its budget
+    assert classify_left_self_dual(2, 8).total == 1
+    # the odd-length shortcut passes the same gate
+    with pytest.raises(BudgetExceeded) as err:
+        classify_left_self_dual(3, 7)
+    assert err.value.largest_feasible == 6
+    assert set(classify._cache) == {("left-self-dual", 2, 8), ("mds-amds-left-self-dual", 2, 8)}
+
+
+def test_lengths_below_one_are_rejected_before_any_work(monkeypatch):
+    monkeypatch.setattr(classify, "_cache", {})
+    for fn in CLASSIFY_KINDS.values():
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="length must be positive"):
+                fn(2, n)
+            with pytest.raises(ValueError, match="length must be positive"):
+                fn(3, n, force=True)
+    assert classify._cache == {}
+
+
 def test_classification_requires_p_2_or_3():
-    assert classify_budget(2) == 8 and classify_budget(3) == 6
-    with pytest.raises(ValueError):
-        classify_budget(5)
+    assert [classify_budget(kind, 2) for kind in sorted(CLASSIFY_KINDS)] == [6, 8, 6, 8]
+    assert [classify_budget(kind, 3) for kind in sorted(CLASSIFY_KINDS)] == [5, 6, 5, 6]
+    for kind in CLASSIFY_KINDS:
+        with pytest.raises(ValueError):
+            classify_budget(kind, 5)
     with pytest.raises(ValueError):
         classify_lcd(5, 2)
     with pytest.raises(ValueError):
@@ -274,6 +305,52 @@ def test_verify_table_7_reports_the_known_defect(monkeypatch):
     monkeypatch.setitem(classify.KNOWN_DISCREPANCIES, key, "stand-in, distance {d}")
     (bad,) = [v for v in verify_table(7, max_n=4).verdicts if v.known]
     assert bad.detail == "stand-in, distance 1"
+
+
+def test_default_verify_scope_is_the_budget_cut_to_the_printed_range(monkeypatch):
+    # widening the default scope of any table is a deliberate change here
+    scope = {}
+
+    def record(table, limit, workers):
+        scope[table.table_id] = limit
+
+    monkeypatch.setattr(classify, "_verify_counts", record)
+    monkeypatch.setattr(classify, "_verify_matrices", record)
+    for t in range(1, 11):
+        verify_table(t)
+    assert scope == {1: 6, 2: 5, 3: 6, 4: 5, 5: 6, 6: 5, 7: 8, 8: 6, 9: 6, 10: 4}
+    assert [load_table(t).last_n for t in range(1, 11)] == [13, 10, 13, 10, 6, 6, 12, 12, 6, 4]
+
+
+def test_verify_lengths_past_the_printed_range_are_skipped(monkeypatch):
+    calls = []
+    real = classify.classify_self_dual
+
+    def spy(p, n, **kwargs):
+        calls.append((p, n))
+        return real(p, n, **kwargs)
+
+    monkeypatch.setitem(classify.CLASSIFY_KINDS, "self-dual", spy)
+    # table 9 stops at n = 6; the census at n = 8 would find a real AMDS
+    # class the paper never claimed to list
+    report = verify_table(9, max_n=8)
+    assert report.confirmed
+    assert (2, 8) not in calls and (2, 6) in calls
+    (row,) = [v for v in report.verdicts if v.label == "n=8 census"]
+    assert row.verdict is Verdict.SKIPPED and row.detail == "beyond the printed range"
+
+
+def test_verify_max_n_lifts_the_census_budget(monkeypatch):
+    monkeypatch.setitem(classify.CENSUSES["lcd"].budget, 3, 2)
+    with pytest.raises(BudgetExceeded):
+        classify_lcd(3, 3)
+
+    def census(report):
+        return {v.label: v.verdict for v in report.verdicts if v.label.endswith("census")}
+
+    # the default scope follows the budget; an explicit max_n runs past it
+    assert census(verify_table(6))["n=3 census"] is Verdict.SKIPPED
+    assert census(verify_table(6, max_n=3))["n=3 census"] is Verdict.CONFIRMED
 
 
 def test_verify_table_10_full():

@@ -128,6 +128,23 @@ def test_classify_force_within_budget_is_silent(capsys):
     assert "6 classes" in out
 
 
+def test_classify_force_past_the_budget_warns(capsys):
+    code, out, err = _run(
+        capsys, "classify", "left-self-dual", "--p", "3", "--n", "7", "--force"
+    )
+    assert code == 0 and err.startswith("warning:")
+    assert out == (
+        "left-self-dual p=3 n=7: 0 classes\n"
+        "note: odd length: a self-dual residue code would need dimension n/2\n"
+    )
+
+
+def test_verify_tables_has_no_force(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-tables", "--table", "10", "--force"])
+    assert exc.value.code == 2
+
+
 def test_classify_workers_give_identical_bytes(capsys):
     runs = [
         _run(capsys, "classify", "lcd", "--p", "2", "--n", "4", "--format", "json",

@@ -68,6 +68,7 @@ def test_matrix_table_shapes():
         assert (table.p, table.kind) == (p, kind)
         assert len(table.rows) == count
         assert table.lengths() == lengths
+        assert max(lengths) <= table.last_n
 
 
 def test_matrix_rows_parse_and_match_headers():
