@@ -7,7 +7,23 @@ through the canonical form, so the output is independent of walk order and of
 the worker count.  The LCD census walks every subspace of the pattern and
 keeps those that pass ``is_lcd``; the left self-dual and self-dual censuses
 walk only the self-orthogonal ones (``fp.iter_self_orthogonal_with_pivots``),
-which prunes a basis row by row.  The algorithms are unbounded in n; the
+which prunes a basis row by row.
+
+Each monomial orbit of residues is canonicalized once (orbit-level
+generation after McKay, "Isomorph-free exhaustive generation", 1998): a
+residue that starts a new class adds its whole orbit
+(``equiv.monomial_orbit``) to the set of bases the run has met, and every
+later residue of that orbit is skipped.  This is exact.  At p = 2 and
+p = 3, the only moduli classified, every monomial scaling is an isometry,
+so each census predicate (``is_lcd``, self-orthogonality) holds on a whole
+orbit or nowhere on it, and each lift (``EpCode.free_code``, s -> (s,
+s.dual)) commutes with monomial maps.  Two residues of one orbit therefore
+lift to one E_p class, with one canonical key and one representative, and
+skipping all but the first loses no class and changes no record.  The
+orbit sizes of the classes, one per key, must sum to the residues walked,
+which certifies that the orbits partition the walk.  The set of met bases
+lives for one census run: one set on the serial path, and one per worker
+process on the pool path.  The algorithms are unbounded in n; the
 ``budget`` of each census row is only a guardrail against runs that cannot
 finish at desk scale, and it is the one length gate of its census: the
 ``classify_*`` functions, the ternary bound and the default scope of the
@@ -29,9 +45,11 @@ from .equiv import (
     BudgetExceeded,
     canonical_form,
     canonical_form_free,
+    monomial_orbit,
 )
 from .fp import (
     FpCode,
+    Mat,
     MdsStatus,
     Vec,
     iter_pivot_patterns,
@@ -157,7 +175,9 @@ class Census:
     in ``dims(n)``, the residues that ``walk(p, n, pivots)`` yields are lifted
     by ``lift``, every class found must satisfy ``check``, and ``noun`` names
     the classes in report notes.  The LCD walk filters every subspace of the
-    pattern; the self-dual walks emit only self-orthogonal residues.
+    pattern; the self-dual walks emit only self-orthogonal residues.  Both
+    the walk's predicate and ``lift`` commute with monomial maps, so one
+    canonical search per orbit of walked residues serves the whole orbit.
     ``budget`` maps each supported p to the largest n classified without
     force."""
 
@@ -176,10 +196,12 @@ def _lcd_walk(p: int, n: int, pivots: Vec) -> Iterable[FpCode]:
 # The cost of each census at its budget and past it (the next even length
 # for the self-dual kinds), one in-process run each with force=True and one
 # worker (2-CPU x86-64, Python 3.11):
-#   lcd             p=2  n=6 1.0 s, n=7 34 s     p=3  n=5 1.9 s, n=6 168 s
-#   left-self-dual  p=2  n=8 0.12 s, n=10 4.8 s  p=3  n=6 0.00 s, n=8 9.3 s
-#   self-dual       p=2  n=8 4.0 s, n=10 > 150 s p=3  n=6 0.68 s, n=8 > 150 s
-# Odd lengths hold no left self-dual code, and at p=3 none of length 6.
+#   lcd             p=2  n=7 1.7 s, n=8 27 s      p=3  n=6 3.6 s, n=7 161 s
+#   left-self-dual  p=2  n=10 0.47 s, n=12 29 s   p=3  n=8 0.30 s, n=10 37 s
+#   self-dual       p=2  n=8 0.30 s, n=10 12 s    p=3  n=6 0.05 s, n=8 6.5 s
+# With one canonical search per class, the time goes to the walk and to
+# marking orbits.  Odd lengths hold no left self-dual code, and at p=3 none
+# of length 6 or 10.
 CENSUSES = {
     # LCD codes are exactly the free lifts r*G of the LCD codes over F_p
     "lcd": Census(
@@ -188,7 +210,7 @@ CENSUSES = {
         lift=EpCode.free_code,
         check=lambda c: c.is_lcd,
         noun="LCD",
-        budget={2: 6, 3: 5},
+        budget={2: 7, 3: 6},
     ),
     # left self-dual codes are the free lifts of self-dual residue codes, so
     # only dimension n/2 of an even length contributes
@@ -198,7 +220,7 @@ CENSUSES = {
         lift=EpCode.free_code,
         check=lambda c: c.is_left_self_dual,
         noun="left self-dual",
-        budget={2: 8, 3: 6},
+        budget={2: 10, 3: 8},
     ),
     # self-dual codes are the pairs (R, dual(R)) with R self-orthogonal
     "self-dual": Census(
@@ -255,26 +277,55 @@ def _canonical(code: EpCode) -> tuple[bytes, EpCode]:
 # -- the pipeline ----------------------------------------------------------------
 
 
-def _shard(args: tuple[str, int, int, tuple[int, ...]]) -> dict[bytes, EpCode]:
-    """Classify the residues one pivot pattern walks; pure and order-free."""
+# each class's representative and orbit size, by canonical key
+_Classes = dict[bytes, tuple[EpCode, int]]
+
+
+def _shard(args: tuple[str, int, int, tuple[int, ...]], seen: set[Mat]) -> tuple[_Classes, int]:
+    """Classify the residues one pivot pattern walks, skipping those in
+    ``seen``; every new class adds its residue's whole orbit to ``seen``.
+    Returns each new class's representative and orbit size by key, and the
+    number of residues walked."""
     name, p, n, pivots = args
     census = CENSUSES[name]
-    out: dict[bytes, EpCode] = {}
+    out: _Classes = {}
+    walked = 0
     for sub in census.walk(p, n, pivots):
+        walked += 1
+        if sub.basis in seen:
+            continue
+        orbit = monomial_orbit(sub)
+        seen |= orbit
         key, rep = _canonical(census.lift(sub))
-        out.setdefault(key, rep)
-    return out
+        out.setdefault(key, (rep, len(orbit)))
+    return out, walked
 
 
-def _merge(shards) -> dict[bytes, EpCode]:
-    merged: dict[bytes, EpCode] = {}
-    for shard in shards:
-        for key, code in shard.items():
-            merged.setdefault(key, code)
-    return merged
+def _merge(shards: Iterable[tuple[_Classes, int]]) -> tuple[_Classes, int]:
+    merged: _Classes = {}
+    walked = 0
+    for out, count in shards:
+        walked += count
+        for key, entry in out.items():
+            merged.setdefault(key, entry)
+    return merged, walked
 
 
-def _run_shards(name: str, p: int, n: int, workers: int) -> dict[bytes, EpCode]:
+# The walked bases of one pool worker, emptied by the pool's initializer:
+# the pool lives for one census run, so the set never outlives it.
+_worker_seen: set[Mat] = set()
+
+
+def _start_worker() -> None:
+    global _worker_seen
+    _worker_seen = set()
+
+
+def _worker_shard(args: tuple[str, int, int, tuple[int, ...]]) -> tuple[_Classes, int]:
+    return _shard(args, _worker_seen)
+
+
+def _run_shards(name: str, p: int, n: int, workers: int) -> tuple[_Classes, int]:
     args = [
         (name, p, n, pivots)
         for k in CENSUSES[name].dims(n)
@@ -283,19 +334,33 @@ def _run_shards(name: str, p: int, n: int, workers: int) -> dict[bytes, EpCode]:
     # the pool forks every worker at once, so never start more than can run
     workers = min(workers, len(args), os.cpu_count() or 1)
     if workers <= 1:
-        return _merge(map(_shard, args))
+        seen: set[Mat] = set()
+        return _merge(_shard(a, seen) for a in args)
     # A few patterns hold most of the work (at p=3 n=6 the self-dual walk
     # spends 70% of its time in three of 42), so the pool hands out one shard
     # at a time, largest first by free RREF entries: the workers then finish
     # together instead of one of them running a batch of large shards alone.
     args.sort(key=lambda a: -_free_entries(n, a[3]))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _merge(pool.map(_shard, args))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
+        return _merge(pool.map(_worker_shard, args))
 
 
 def _free_entries(n: int, pivots: tuple[int, ...]) -> int:
     """Free entries of an RREF pivot pattern: log_p of its subspace count."""
     return sum(n - piv - len(pivots) + i for i, piv in enumerate(pivots))
+
+
+def _check_partition(census: Census, merged: _Classes, walked: int) -> None:
+    """Certify the skipping in :func:`_shard`: the orbits of the classes,
+    one per key, must partition the walked residues, so their sizes sum to
+    the number walked.  A residue walked twice, an orbit short of its
+    class or an orbit holding a residue the walk never emits breaks it."""
+    covered = sum(size for _, size in merged.values())
+    if covered != walked:
+        raise RuntimeError(
+            f"the orbits of {len(merged)} {census.noun} classes hold {covered} "
+            f"residues, but the walk emitted {walked}"
+        )
 
 
 _cache: dict[tuple[str, int, int], Classification] = {}
@@ -307,11 +372,12 @@ def _census(name: str, p: int, n: int, workers: int, force: bool) -> Classificat
     _check_request(name, p, n, workers, force)
     if (name, p, n) not in _cache:
         census = CENSUSES[name]
-        merged = _run_shards(name, p, n, workers)
-        for code in merged.values():
+        merged, walked = _run_shards(name, p, n, workers)
+        _check_partition(census, merged, walked)
+        for code, _ in merged.values():
             if not census.check(code):
                 raise RuntimeError(f"non {census.noun} class emitted: {code}")
-        records = tuple(_validate(_record(merged[key], key)) for key in sorted(merged))
+        records = tuple(_validate(_record(merged[key][0], key)) for key in sorted(merged))
         _cache[(name, p, n)] = Classification(name, p, n, records, len(records))
     return _cache[(name, p, n)]
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .code import EpCode
-from .fp import FpCode, Vec, inverse_table, validate_modulus
+from .fp import FpCode, Mat, Vec, inverse_table, rref, validate_modulus
 from .ring import EpElem
 
 
@@ -466,6 +466,40 @@ def _witness(codes1: Sequence[FpCode], codes2: Sequence[FpCode]) -> MonomialMapF
 
 
 # -- F_p level ----------------------------------------------------------------
+
+
+def monomial_orbit(code: FpCode) -> set[Mat]:
+    """The RREF bases of every image of ``code`` under the monomial group.
+
+    A breadth-first search under three generators of the group: the
+    transposition (0 1) and the n-cycle, which generate the permutations,
+    and the scaling of coordinate 0 by a primitive root mod p, whose
+    conjugates under the permutations scale every coordinate by every unit.
+    Each image is row-reduced, so the set holds one basis per subspace, and
+    its size is the group order divided by the order of Aut(code).
+    """
+    p, n = code.p, code.n
+    root = next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+
+    def images(basis: Mat):
+        if n > 1:
+            yield [(row[1], row[0]) + row[2:] for row in basis]
+            yield [row[-1:] + row[:-1] for row in basis]
+        if root != 1:
+            yield [(root * row[0] % p,) + row[1:] for row in basis]
+
+    orbit = {code.basis}
+    frontier = [code.basis]
+    while frontier:
+        found = []
+        for basis in frontier:
+            for rows in images(basis):
+                image = rref(p, rows, n)[0]
+                if image not in orbit:
+                    orbit.add(image)
+                    found.append(image)
+        frontier = found
+    return orbit
 
 
 def canonical_form_fp(c: FpCode, max_n: int | None = None) -> tuple[bytes, FpCode]:

@@ -179,17 +179,13 @@ def brute_rref(p, rows, n):
     return work[:rank]
 
 
-def brute_canonical_key(p, n, bases):
-    """The canonical key straight from its definition.
+def brute_monomial_images(p, n, bases):
+    """The images of the codes under each of the (p-1)^n n! monomial maps.
 
-    ``bases`` lists the basis rows of each code (one code, or the residue
-    and torsion of an E_p code).  Every monomial map (perm, scale) is applied
-    to every code; the image's serialization reads the columns of the RREF
-    images one after another, each column joining the codes' entries in
-    order.  The key is the least serialization over all (p-1)^n n! maps,
-    behind the header (p, n, dimension of each code).
+    ``bases`` lists the basis rows of each code.  A map (perm, scale) sends
+    x to y with y[perm[i]] = scale[perm[i]] * x[i]; each image is yielded as
+    the list of the codes' RREF images, as tuples of rows.
     """
-    best = None
     for perm in permutations(range(n)):
         for scale in product(range(1, p), repeat=n):
             images = []
@@ -200,9 +196,24 @@ def brute_canonical_key(p, n, bases):
                     for i, v in enumerate(row):
                         y[perm[i]] = (scale[perm[i]] * v) % p
                     mapped.append(y)
-                images.append(brute_rref(p, mapped, n))
-            ser = [v for j in range(n) for image in images for v in (row[j] for row in image)]
-            if best is None or ser < best:
-                best = ser
+                images.append(tuple(tuple(r) for r in brute_rref(p, mapped, n)))
+            yield images
+
+
+def brute_canonical_key(p, n, bases):
+    """The canonical key straight from its definition.
+
+    ``bases`` lists the basis rows of each code (one code, or the residue
+    and torsion of an E_p code).  Every monomial map is applied to every
+    code; the image's serialization reads the columns of the RREF images
+    one after another, each column joining the codes' entries in order.
+    The key is the least serialization over all (p-1)^n n! maps, behind the
+    header (p, n, dimension of each code).
+    """
+    best = None
+    for images in brute_monomial_images(p, n, bases):
+        ser = [v for j in range(n) for image in images for v in (row[j] for row in image)]
+        if best is None or ser < best:
+            best = ser
     header = [p, n] + [len(brute_rref(p, rows, n)) for rows in bases]
     return bytes(header + best)

@@ -1,5 +1,7 @@
 """Classification pipelines against the bundled tables at small lengths."""
 
+from dataclasses import replace
+
 import pytest
 
 from epcodes import (
@@ -129,12 +131,15 @@ def test_classification_is_worker_invariant(monkeypatch):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs the
+    initializer once and maps in-process."""
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer()
 
     def __enter__(self):
         return self
@@ -186,6 +191,70 @@ def test_pool_gets_one_shard_at_a_time_largest_first(monkeypatch):
         assert 3 ** classify._free_entries(4, q) == sum(1 for _ in iter_subspaces_with_pivots(3, 4, q))
 
 
+def test_pooled_runs_do_not_share_walked_orbits(monkeypatch):
+    # the in-process pool keeps the workers' set of walked bases in this
+    # process, so a set that outlived its run would empty the second census
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(classify, "_cache", {})
+    first = classify_lcd(2, 5, workers=2)
+    classify._cache.clear()
+    second = classify_lcd(2, 5, workers=2)
+    assert first == second and first.total == load_table(1).total(5)
+
+
+def _orbit_census_cases():
+    yield from (("lcd", 2, n) for n in range(1, 6))
+    yield from (("lcd", 3, n) for n in range(1, 5))
+    yield from (("left-self-dual", 2, 6), ("self-dual", 2, 6), ("self-dual", 3, 4))
+
+
+def test_orbit_skipping_keeps_every_record(monkeypatch):
+    # canonicalizing every residue, as before orbits were skipped, gives the
+    # same records; the partition certificate cannot hold for one-residue
+    # "orbits", so it is switched off for that reference run only
+    monkeypatch.setattr(classify, "_cache", {})
+    cases = list(_orbit_census_cases())
+    skipping = [classify._census(*case, 1, True) for case in cases]
+    classify._cache.clear()
+    monkeypatch.setattr(classify, "monomial_orbit", lambda c: {c.basis})
+    with pytest.raises(RuntimeError, match="orbits of"):
+        classify._census("lcd", 2, 3, 1, True)
+    monkeypatch.setattr(classify, "_check_partition", lambda *args: None)
+    every = [classify._census(*case, 1, True) for case in cases]
+    assert [c.records for c in every] == [c.records for c in skipping]
+
+
+def test_one_search_per_class_on_the_serial_path(monkeypatch):
+    searches = []
+    real = classify._canonical
+
+    def counting(code):
+        searches.append(code)
+        return real(code)
+
+    monkeypatch.setattr(classify, "_canonical", counting)
+    monkeypatch.setattr(classify, "_cache", {})
+    for case in _orbit_census_cases():
+        searches.clear()
+        assert classify._census(*case, 1, True).total == len(searches)
+
+
+def test_partition_certificate_catches_a_residue_walked_twice(monkeypatch):
+    census = classify.CENSUSES["lcd"]
+
+    def twice_at_the_empty_pattern(p, n, pivots):
+        yield from census.walk(p, n, pivots)
+        if not pivots:
+            yield from census.walk(p, n, pivots)
+
+    doubled = replace(census, walk=twice_at_the_empty_pattern)
+    monkeypatch.setitem(classify.CENSUSES, "lcd", doubled)
+    monkeypatch.setattr(classify, "_cache", {})
+    with pytest.raises(RuntimeError, match="hold 4 residues, but the walk emitted 5"):
+        classify_lcd(2, 2)
+
+
 def test_classification_cache_returns_the_same_object(monkeypatch):
     a = classify_lcd(2, 3)
     assert classify_lcd(2, 3) is a
@@ -196,7 +265,7 @@ def test_classification_cache_returns_the_same_object(monkeypatch):
 def test_budget_refusals_and_force():
     with pytest.raises(BudgetExceeded) as err:
         classify_lcd(2, 9)
-    assert err.value.largest_feasible == 6
+    assert err.value.largest_feasible == 7
     with pytest.raises(BudgetExceeded):
         classify_lcd(3, 7)
     with pytest.raises(BudgetExceeded):
@@ -208,19 +277,21 @@ def test_budget_refusals_and_force():
 
 def test_each_census_takes_its_own_budget(monkeypatch):
     monkeypatch.setattr(classify, "_cache", {})
-    # lcd at p=2 n=7 takes half a minute, so its budget stops at 6
+    # lcd at p=2 n=8 takes half a minute, so its budget stops at 7
     with pytest.raises(BudgetExceeded) as err:
-        classify_lcd(2, 7)
-    assert err.value.largest_feasible == 6
+        classify_lcd(2, 8)
+    assert err.value.largest_feasible == 7
     with pytest.raises(BudgetExceeded):
-        classify_mds_amds_lcd(3, 6)
-    # the self-orthogonal walk keeps p=2 n=8 left self-dual within its budget
-    assert classify_left_self_dual(2, 8).total == 1
+        classify_mds_amds_lcd(3, 7)
+    # one search per orbit keeps p=2 n=10 left self-dual within its budget
+    assert classify_left_self_dual(2, 10).total == 0
     # the odd-length shortcut passes the same gate
     with pytest.raises(BudgetExceeded) as err:
-        classify_left_self_dual(3, 7)
-    assert err.value.largest_feasible == 6
-    assert set(classify._cache) == {("left-self-dual", 2, 8), ("mds-amds-left-self-dual", 2, 8)}
+        classify_left_self_dual(3, 9)
+    assert err.value.largest_feasible == 8
+    assert set(classify._cache) == {
+        ("left-self-dual", 2, 10), ("mds-amds-left-self-dual", 2, 10)
+    }
 
 
 def test_lengths_below_one_are_rejected_before_any_work(monkeypatch):
@@ -235,8 +306,8 @@ def test_lengths_below_one_are_rejected_before_any_work(monkeypatch):
 
 
 def test_classification_requires_p_2_or_3():
-    assert [classify_budget(kind, 2) for kind in sorted(CLASSIFY_KINDS)] == [6, 8, 6, 8]
-    assert [classify_budget(kind, 3) for kind in sorted(CLASSIFY_KINDS)] == [5, 6, 5, 6]
+    assert [classify_budget(kind, 2) for kind in sorted(CLASSIFY_KINDS)] == [7, 10, 7, 8]
+    assert [classify_budget(kind, 3) for kind in sorted(CLASSIFY_KINDS)] == [6, 8, 6, 6]
     for kind in CLASSIFY_KINDS:
         with pytest.raises(ValueError):
             classify_budget(kind, 5)
@@ -268,7 +339,7 @@ def test_ternary_lower_bound():
     for n in range(1, 5):
         assert ternary_lcd_lower_bound(n) <= classify_lcd(3, n).total
     with pytest.raises(BudgetExceeded):
-        ternary_lcd_lower_bound(6)
+        ternary_lcd_lower_bound(7)
 
 
 def test_verify_table_counts_confirmed_at_reduced_scope():
@@ -318,7 +389,7 @@ def test_default_verify_scope_is_the_budget_cut_to_the_printed_range(monkeypatch
     monkeypatch.setattr(classify, "_verify_matrices", record)
     for t in range(1, 11):
         verify_table(t)
-    assert scope == {1: 6, 2: 5, 3: 6, 4: 5, 5: 6, 6: 5, 7: 8, 8: 6, 9: 6, 10: 4}
+    assert scope == {1: 7, 2: 6, 3: 7, 4: 6, 5: 6, 6: 6, 7: 10, 8: 8, 9: 6, 10: 4}
     assert [load_table(t).last_n for t in range(1, 11)] == [13, 10, 13, 10, 6, 6, 12, 12, 6, 4]
 
 

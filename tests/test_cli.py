@@ -130,11 +130,11 @@ def test_classify_force_within_budget_is_silent(capsys):
 
 def test_classify_force_past_the_budget_warns(capsys):
     code, out, err = _run(
-        capsys, "classify", "left-self-dual", "--p", "3", "--n", "7", "--force"
+        capsys, "classify", "left-self-dual", "--p", "3", "--n", "9", "--force"
     )
     assert code == 0 and err.startswith("warning:")
     assert out == (
-        "left-self-dual p=3 n=7: 0 classes\n"
+        "left-self-dual p=3 n=9: 0 classes\n"
         "note: odd length: a self-dual residue code would need dimension n/2\n"
     )
 

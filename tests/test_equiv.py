@@ -2,6 +2,7 @@
 
 import random
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -22,7 +23,8 @@ from epcodes import (
     equivalent_fp,
     iter_subspaces,
 )
-from oracles import brute_canonical_key
+from epcodes.equiv import monomial_orbit
+from oracles import brute_canonical_key, brute_monomial_images
 from test_code import B_CODE, C_CODE, _pairs, _words
 
 
@@ -231,6 +233,22 @@ def test_canonical_form_ep_is_invariant():
         assert canonical_key(code) == key
     # the B and C codes get distinct keys
     assert canonical_key(B_CODE) != canonical_key(C_CODE)
+
+
+def test_monomial_orbit_matches_the_brute_force_orbit():
+    # every subspace at p=2 n<=5 and p=3 n<=4, a few at p=5; each orbit is
+    # checked against the images under all (p-1)^n n! maps, and its size
+    # against the group order over the brute-force automorphism count
+    rng = random.Random(23)
+    codes = [c for n in range(1, 6) for c in iter_subspaces(2, n)]
+    codes += [c for n in range(1, 5) for c in iter_subspaces(3, n)]
+    codes += [_random_fp(rng, 5, n) for n in (1, 2, 3, 3, 4, 4)]
+    for c in codes:
+        images = [image for (image,) in brute_monomial_images(c.p, c.n, [c.basis])]
+        orbit = monomial_orbit(c)
+        assert orbit == set(images)
+        aut = images.count(c.basis)
+        assert len(orbit) * aut == (c.p - 1) ** c.n * factorial(c.n) == len(images)
 
 
 def test_canonical_keys_match_their_definition():
