@@ -7,23 +7,25 @@ through the canonical form, so the output is independent of walk order and of
 the worker count.  The LCD census walks every subspace of the pattern and
 keeps those that pass ``is_lcd``; the left self-dual and self-dual censuses
 walk only the self-orthogonal ones (``fp.iter_self_orthogonal_with_pivots``),
-which prunes a basis row by row.
+which prunes a basis row by row, and keep them all.
 
 Each monomial orbit of residues is canonicalized once (orbit-level
 generation after McKay, "Isomorph-free exhaustive generation", 1998): a
 residue that starts a new class adds its whole orbit
-(``equiv.monomial_orbit``) to the set of bases the run has met, and every
-later residue of that orbit is skipped.  This is exact.  At p = 2 and
-p = 3, the only moduli classified, every monomial scaling is an isometry,
-so each census predicate (``is_lcd``, self-orthogonality) holds on a whole
-orbit or nowhere on it, and each lift (``EpCode.free_code``, s -> (s,
-s.dual)) commutes with monomial maps.  Two residues of one orbit therefore
-lift to one E_p class, with one canonical key and one representative, and
-skipping all but the first loses no class and changes no record.  The
-orbit sizes of the classes, one per key, must sum to the residues walked,
-which certifies that the orbits partition the walk.  The set of met bases
-lives for one census run: one set on the serial path, and one per worker
-process on the pool path.  The algorithms are unbounded in n; the
+(``equiv.monomial_orbit``) to the set of bases its shard has met, and every
+later residue of that orbit is skipped before the census predicate is
+asked.  This is exact.  At p = 2 and p = 3, the only moduli classified,
+every monomial scaling is an isometry, so each census predicate
+(``is_lcd``, self-orthogonality) holds on a whole orbit or nowhere on it,
+and each lift (``EpCode.free_code``, s -> (s, s.dual)) commutes with
+monomial maps.  Two residues of one orbit therefore lift to one E_p class,
+with one canonical key and one representative, and skipping all but the
+first loses no class and changes no record.  The orbit sizes of the
+classes, one per key, must sum to the residues walked, which certifies
+that the orbits partition the walk.  An orbit never leaves its dimension,
+so a shard is one dimension and owns its set of met bases; only a census
+with fewer dimensions than workers splits a dimension into slices, which
+may each search a class once.  The algorithms are unbounded in n; the
 ``budget`` of each census row is only a guardrail against runs that cannot
 finish at desk scale, and it is the one length gate of its census: the
 ``classify_*`` functions, the ternary bound and the default scope of the
@@ -172,31 +174,27 @@ class Classification:
 @dataclass(frozen=True)
 class Census:
     """How one kind of code is classified: for each pivot pattern of dimension
-    in ``dims(n)``, the residues that ``walk(p, n, pivots)`` yields are lifted
-    by ``lift``, every class found must satisfy ``check``, and ``noun`` names
-    the classes in report notes.  The LCD walk filters every subspace of the
-    pattern; the self-dual walks emit only self-orthogonal residues.  Both
-    the walk's predicate and ``lift`` commute with monomial maps, so one
-    canonical search per orbit of walked residues serves the whole orbit.
-    ``budget`` maps each supported p to the largest n classified without
-    force."""
+    in ``dims(n)``, the residues that ``walk(p, n, pivots)`` yields and
+    ``keep`` accepts are lifted by ``lift``, every class found must satisfy
+    ``check``, and ``noun`` names the classes in report notes.  The walk,
+    ``keep`` and ``lift`` commute with monomial maps, so one canonical search
+    per orbit of kept residues serves the whole orbit, and a residue already
+    met is skipped before ``keep`` is asked.  ``budget`` maps each supported
+    p to the largest n classified without force."""
 
     dims: Callable[[int], Iterable[int]]
     walk: Callable[[int, int, Vec], Iterable[FpCode]]
+    keep: Callable[[FpCode], bool]
     lift: Callable[[FpCode], EpCode]
     check: Callable[[EpCode], bool]
     noun: str
     budget: dict[int, int]
 
 
-def _lcd_walk(p: int, n: int, pivots: Vec) -> Iterable[FpCode]:
-    return (s for s in iter_subspaces_with_pivots(p, n, pivots) if s.is_lcd)
-
-
 # The cost of each census at its budget and past it (the next even length
 # for the self-dual kinds), one in-process run each with force=True and one
 # worker (2-CPU x86-64, Python 3.11):
-#   lcd             p=2  n=7 1.7 s, n=8 27 s      p=3  n=6 3.6 s, n=7 161 s
+#   lcd             p=2  n=7 1.5 s, n=8 22 s      p=3  n=6 3.3 s, n=7 133 s
 #   left-self-dual  p=2  n=10 0.47 s, n=12 29 s   p=3  n=8 0.30 s, n=10 37 s
 #   self-dual       p=2  n=8 0.30 s, n=10 12 s    p=3  n=6 0.05 s, n=8 6.5 s
 # With one canonical search per class, the time goes to the walk and to
@@ -206,7 +204,9 @@ CENSUSES = {
     # LCD codes are exactly the free lifts r*G of the LCD codes over F_p
     "lcd": Census(
         dims=lambda n: range(n + 1),
-        walk=_lcd_walk,
+        # called through the module name, which perfbench's tracer rebinds
+        walk=lambda p, n, pivots: iter_subspaces_with_pivots(p, n, pivots),
+        keep=lambda s: s.is_lcd,
         lift=EpCode.free_code,
         check=lambda c: c.is_lcd,
         noun="LCD",
@@ -217,6 +217,7 @@ CENSUSES = {
     "left-self-dual": Census(
         dims=lambda n: () if n % 2 else (n // 2,),
         walk=iter_self_orthogonal_with_pivots,
+        keep=lambda s: True,
         lift=EpCode.free_code,
         check=lambda c: c.is_left_self_dual,
         noun="left self-dual",
@@ -226,6 +227,7 @@ CENSUSES = {
     "self-dual": Census(
         dims=lambda n: range(n // 2 + 1),
         walk=iter_self_orthogonal_with_pivots,
+        keep=lambda s: True,
         lift=lambda s: EpCode(s, s.dual),
         check=lambda c: c.is_self_dual and c.is_qsd and c.cardinality_exp == c.n,
         noun="self-dual",
@@ -281,23 +283,29 @@ def _canonical(code: EpCode) -> tuple[bytes, EpCode]:
 _Classes = dict[bytes, tuple[EpCode, int]]
 
 
-def _shard(args: tuple[str, int, int, tuple[int, ...]], seen: set[Mat]) -> tuple[_Classes, int]:
-    """Classify the residues one pivot pattern walks, skipping those in
-    ``seen``; every new class adds its residue's whole orbit to ``seen``.
-    Returns each new class's representative and orbit size by key, and the
-    number of residues walked."""
-    name, p, n, pivots = args
+def _shard(args: tuple[str, int, int, int, int, int]) -> tuple[_Classes, int]:
+    """Classify the residues of census ``name`` at dimension k, or of slice
+    i of its pivot patterns taken round-robin in ``slices``.  A residue in
+    the orbit of a class the shard already found is skipped; every new class
+    adds its residue's whole orbit to the shard's set of met bases.  Returns
+    each new class's representative and orbit size by key, and the number
+    of residues walked that ``keep`` accepts, met ones included, since
+    ``keep`` holds on a whole orbit."""
+    name, p, n, k, i, slices = args
     census = CENSUSES[name]
+    seen: set[Mat] = set()
     out: _Classes = {}
     walked = 0
-    for sub in census.walk(p, n, pivots):
-        walked += 1
-        if sub.basis in seen:
-            continue
-        orbit = monomial_orbit(sub)
-        seen |= orbit
-        key, rep = _canonical(census.lift(sub))
-        out.setdefault(key, (rep, len(orbit)))
+    for pivots in tuple(iter_pivot_patterns(n, k))[i::slices]:
+        for sub in census.walk(p, n, pivots):
+            if sub.basis in seen:
+                walked += 1
+            elif census.keep(sub):
+                walked += 1
+                orbit = monomial_orbit(sub)
+                seen |= orbit
+                key, rep = _canonical(census.lift(sub))
+                out.setdefault(key, (rep, len(orbit)))
     return out, walked
 
 
@@ -311,43 +319,21 @@ def _merge(shards: Iterable[tuple[_Classes, int]]) -> tuple[_Classes, int]:
     return merged, walked
 
 
-# The walked bases of one pool worker, emptied by the pool's initializer:
-# the pool lives for one census run, so the set never outlives it.
-_worker_seen: set[Mat] = set()
-
-
-def _start_worker() -> None:
-    global _worker_seen
-    _worker_seen = set()
-
-
-def _worker_shard(args: tuple[str, int, int, tuple[int, ...]]) -> tuple[_Classes, int]:
-    return _shard(args, _worker_seen)
-
-
 def _run_shards(name: str, p: int, n: int, workers: int) -> tuple[_Classes, int]:
-    args = [
-        (name, p, n, pivots)
-        for k in CENSUSES[name].dims(n)
-        for pivots in iter_pivot_patterns(n, k)
-    ]
     # the pool forks every worker at once, so never start more than can run
-    workers = min(workers, len(args), os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1)
+    # An orbit never leaves its dimension, so a shard is one dimension and
+    # searches each class once.  Only a census with fewer dimensions than
+    # workers (left self-dual has one) splits them into round-robin slices of
+    # their pivot patterns, so that every worker gets a share.
+    dims = tuple(CENSUSES[name].dims(n))
+    slices = -(-workers // len(dims))
+    shards = [(name, p, n, k, i, slices) for k in dims for i in range(slices)]
+    workers = min(workers, len(shards))
     if workers <= 1:
-        seen: set[Mat] = set()
-        return _merge(_shard(a, seen) for a in args)
-    # A few patterns hold most of the work (at p=3 n=6 the self-dual walk
-    # spends 70% of its time in three of 42), so the pool hands out one shard
-    # at a time, largest first by free RREF entries: the workers then finish
-    # together instead of one of them running a batch of large shards alone.
-    args.sort(key=lambda a: -_free_entries(n, a[3]))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
-        return _merge(pool.map(_worker_shard, args))
-
-
-def _free_entries(n: int, pivots: tuple[int, ...]) -> int:
-    """Free entries of an RREF pivot pattern: log_p of its subspace count."""
-    return sum(n - piv - len(pivots) + i for i, piv in enumerate(pivots))
+        return _merge(map(_shard, shards))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _merge(pool.map(_shard, shards))
 
 
 def _check_partition(census: Census, merged: _Classes, walked: int) -> None:
@@ -721,6 +707,8 @@ def verify_table(table_id: int, max_n: int | None = None, workers: int = 1) -> T
     disagree.
     """
     validate_workers(workers)
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n!r}")
     table = load_table(table_id)
     kind = _TABLE_KINDS[table.kind][1]
     limit = min(classify_budget(kind, table.p), table.last_n) if max_n is None else max_n

@@ -12,7 +12,7 @@ Exit codes are stable contracts:
   2  command line usage error
   3  generator matrix syntax error
   4  invalid parameters (unsupported modulus, bad length, mismatched pair,
-     fewer than one worker)
+     fewer than one worker, a verify-tables --max-n below 1)
   5  refused: classify past its census budget without --force, or equiv
      past the canonical budget (CANON_BUDGET) without --max-n;
      verify-tables never refuses, since its --max-n lifts the budget

@@ -22,7 +22,7 @@ from epcodes import (
     verify_table,
 )
 from epcodes.classify import CLASSIFY_KINDS
-from epcodes.fp import iter_pivot_patterns, iter_subspaces_with_pivots
+from epcodes.fp import iter_pivot_patterns
 
 
 def _row_key(row):
@@ -131,15 +131,13 @@ def test_classification_is_worker_invariant(monkeypatch):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs the
-    initializer once and maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and maps
+    in-process."""
 
     sizes: list = []
 
-    def __init__(self, max_workers, initializer=None):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        if initializer is not None:
-            initializer()
 
     def __enter__(self):
         return self
@@ -164,36 +162,57 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     assert huge == one
 
 
-def test_pool_gets_one_shard_at_a_time_largest_first(monkeypatch):
-    # a few patterns hold most of the work, so batching them onto one worker
-    # would leave the other idle; free RREF entries measure a pattern's size
-    mapped = []
+def test_pool_gets_one_shard_per_dimension(monkeypatch):
+    # an orbit never leaves its dimension, so a dimension is split only when
+    # there are fewer dimensions than workers, and then into ceil(workers /
+    # dimensions) slices; every pivot pattern is walked by exactly one shard
+    for name, p, n, cpus in (
+        ("self-dual", 3, 4, 2),  # 3 dimensions, 2 workers: one shard each
+        ("lcd", 2, 4, 3),  # 5 dimensions, 3 workers
+        ("self-dual", 2, 4, 5),  # 3 dimensions, 5 workers: 2 slices each
+        ("left-self-dual", 3, 4, 2),  # 1 dimension, 2 workers: 2 slices
+    ):
+        with monkeypatch.context() as m:
+            _check_shard_plan(m, name, p, n, cpus)
+
+
+def _check_shard_plan(monkeypatch, name, p, n, cpus):
+    monkeypatch.setattr(classify, "_cache", {})
+    serial = classify._census(name, p, n, 1, True)
+    census = classify.CENSUSES[name]
+    mapped, walked = [], []  # each shard and the pivot patterns it walks
+
+    def recording_walk(p, n, pivots):
+        walked[-1].append(pivots)
+        return census.walk(p, n, pivots)
 
     class _RecordingPool(_SerialPool):
-        def map(self, fn, args, chunksize=1):
-            mapped.append((list(args), chunksize))
-            return map(fn, mapped[-1][0])
+        def map(self, fn, shards, chunksize=1):
+            assert chunksize == 1
+            for shard in shards:
+                mapped.append(shard)
+                walked.append([])
+                yield fn(shard)
 
+    monkeypatch.setitem(classify.CENSUSES, name, replace(census, walk=recording_walk))
     monkeypatch.setattr(classify, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(classify, "_cache", {})
-    one = classify_self_dual(3, 4, workers=1)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
     classify._cache.clear()
-    two = classify_self_dual(3, 4, workers=2)
-    assert two == one
-    [(args, chunksize)] = mapped
-    assert chunksize == 1
-    patterns = [a[3] for a in args]
-    assert sorted(patterns) == sorted(q for k in range(3) for q in iter_pivot_patterns(4, k))
-    sizes = [classify._free_entries(4, q) for q in patterns]
-    assert sizes == sorted(sizes, reverse=True)
-    for q in patterns:
-        assert 3 ** classify._free_entries(4, q) == sum(1 for _ in iter_subspaces_with_pivots(3, 4, q))
+    pooled = classify._census(name, p, n, cpus, True)
+    assert pooled == serial
+    dims = list(census.dims(n))
+    slices = 1 if len(dims) >= cpus else -(-cpus // len(dims))
+    shard_dims = [shard[3] for shard in mapped]
+    assert sorted(shard_dims) == sorted(dims * slices)
+    for k, patterns in zip(shard_dims, walked):
+        assert all(len(q) == k for q in patterns)
+    every = [q for patterns in walked for q in patterns]
+    assert sorted(every) == sorted(q for k in dims for q in iter_pivot_patterns(n, k))
 
 
 def test_pooled_runs_do_not_share_walked_orbits(monkeypatch):
-    # the in-process pool keeps the workers' set of walked bases in this
-    # process, so a set that outlived its run would empty the second census
+    # the in-process pool runs every shard in this process, so a set of met
+    # bases that outlived its shard would empty the second census
     monkeypatch.setattr(classify, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(classify, "_cache", {})
@@ -225,7 +244,7 @@ def test_orbit_skipping_keeps_every_record(monkeypatch):
     assert [c.records for c in every] == [c.records for c in skipping]
 
 
-def test_one_search_per_class_on_the_serial_path(monkeypatch):
+def test_one_search_per_class_on_either_path(monkeypatch):
     searches = []
     real = classify._canonical
 
@@ -234,10 +253,19 @@ def test_one_search_per_class_on_the_serial_path(monkeypatch):
         return real(code)
 
     monkeypatch.setattr(classify, "_canonical", counting)
-    monkeypatch.setattr(classify, "_cache", {})
-    for case in _orbit_census_cases():
-        searches.clear()
-        assert classify._census(*case, 1, True).total == len(searches)
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    for workers in (1, 2):
+        monkeypatch.setattr(classify, "_cache", {})
+        for name, p, n in _orbit_census_cases():
+            searches.clear()
+            total = classify._census(name, p, n, workers, True).total
+            if len(classify.CENSUSES[name].dims(n)) >= workers:
+                assert len(searches) == total
+            else:
+                # the one dimension is split in two slices, each of which
+                # may search a class once
+                assert total <= len(searches) <= 2 * total
 
 
 def test_partition_certificate_catches_a_residue_walked_twice(monkeypatch):
@@ -433,3 +461,13 @@ def test_verify_table_10_full():
 def test_verify_table_rejects_unknown_ids():
     with pytest.raises(ValueError):
         verify_table(12)
+
+
+def test_verify_table_rejects_a_scope_below_one(monkeypatch):
+    # a scope below one would verify no census and report every row SKIPPED
+    monkeypatch.setattr(classify, "_cache", {})
+    for max_n in (0, -3):
+        with pytest.raises(ValueError, match="max_n must be at least 1"):
+            verify_table(10, max_n=max_n)
+    assert classify._cache == {}
+    assert verify_table(10, max_n=1).confirmed

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from epcodes import __version__
+from epcodes import __version__, classify
 from epcodes.cli import main
 
 B_TEXT = "p=2 n=4\nt 0 0 t\nr r r r\n0 t 0 t\n0 0 t t\n"
@@ -145,13 +145,22 @@ def test_verify_tables_has_no_force(capsys):
     assert exc.value.code == 2
 
 
-def test_classify_workers_give_identical_bytes(capsys):
-    runs = [
-        _run(capsys, "classify", "lcd", "--p", "2", "--n", "4", "--format", "json",
-             "--workers", str(w))[1]
-        for w in (1, 2)
-    ]
-    assert runs[0] == runs[1]
+def test_classify_workers_give_identical_bytes(capsys, monkeypatch):
+    # the cache is emptied before each run and two CPUs are reported, so the
+    # two-worker run forks a real pool instead of reusing the first result
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    for argv in (
+        ("lcd", "--p", "2", "--n", "4", "--format", "json"),
+        ("left-self-dual", "--p", "2", "--n", "8"),
+        ("self-dual", "--p", "3", "--n", "4"),
+    ):
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(classify, "_cache", {})
+            code, out, _ = _run(capsys, "classify", *argv, "--workers", str(workers))
+            assert code == 0
+            runs.append(out)
+        assert runs[0] == runs[1]
 
 
 def test_verify_tables_allowlist_and_strict(capsys):
@@ -179,6 +188,13 @@ def test_verify_tables_json_lines(capsys):
 def test_verify_tables_unknown_table(capsys):
     assert _run(capsys, "verify-tables", "--table", "12")[0] == 4
     assert _run(capsys, "verify-tables", "--workers", "0")[0] == 4
+
+
+def test_verify_tables_rejects_a_scope_below_one(capsys):
+    # otherwise every census row is SKIPPED and the run exits 0
+    for max_n in ("0", "-3"):
+        code, out, err = _run(capsys, "verify-tables", "--table", "10", "--max-n", max_n)
+        assert code == 4 and out == "" and err.startswith("error: max_n must be at least 1")
 
 
 def test_equiv_shuffled_copy_has_witness(tmp_path, capsys):
