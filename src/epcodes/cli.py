@@ -6,13 +6,17 @@ reference tables.  Output is deterministic: identical invocations give
 byte-identical reports regardless of the worker count, and the JSON
 format is line-delimited with one object per line.
 
-Exit codes are stable contracts:
+Exit codes are stable contracts, and ``main`` is the one place that maps
+an error to its code; any other exception is an internal fault and
+propagates:
   0  success (equivalent / confirmed / classified)
-  1  inequivalent pair, or a table discrepancy outside the allowlist
+  1  failed check only: an inequivalent pair, or a table discrepancy
+     outside the allowlist
   2  command line usage error
   3  generator matrix syntax error
   4  invalid parameters (unsupported modulus, bad length, mismatched pair,
-     fewer than one worker, a verify-tables --max-n below 1)
+     fewer than one worker, a verify-tables or equiv --max-n below 1), or
+     an unreadable input or unwritable --out path
   5  refused: classify past its census budget without --force, or equiv
      past the canonical budget (CANON_BUDGET) without --max-n;
      verify-tables never refuses, since its --max-n lifts the budget
@@ -35,7 +39,6 @@ from .classify import (
 )
 from .code import EpCode, EpGenMatrix, ParseError
 from .equiv import BudgetExceeded, equivalent_ep
-from .fp import validate_modulus
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -64,9 +67,6 @@ def _read_matrix(path: str) -> EpGenMatrix:
         return EpGenMatrix.parse(sys.stdin.read())
     with open(path, encoding="utf-8") as fh:
         return EpGenMatrix.parse(fh.read())
-
-
-_PARSE_EXIT = {"syntax": EXIT_PARSE, "ragged": EXIT_RAGGED, "params": EXIT_PARAMS}
 
 
 # -- analyze -----------------------------------------------------------------
@@ -145,15 +145,7 @@ def _analysis_text(rep: dict) -> list[str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        matrix = _read_matrix(args.path)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _PARSE_EXIT[exc.kind]
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-    rep = analysis_report(matrix.code())
+    rep = analysis_report(_read_matrix(args.path).code())
     if args.format == "json":
         _emit([_dumps(rep)], args.out)
     else:
@@ -191,25 +183,15 @@ def _classification_lines(cls_, fmt: str) -> list[str]:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        validate_modulus(args.p)
-        validate_workers(args.workers)
-        budget = classify_budget(args.kind, args.p)
-        if args.force and args.n > budget:
-            print(
-                f"warning: n={args.n} is beyond the {args.kind} budget of n={budget} "
-                f"for p={args.p}; this run may take very long",
-                file=sys.stderr,
-            )
-        cls_ = CLASSIFY_KINDS[args.kind](
-            args.p, args.n, workers=args.workers, force=args.force
+    validate_workers(args.workers)
+    budget = classify_budget(args.kind, args.p)
+    if args.force and args.n > budget:
+        print(
+            f"warning: n={args.n} is beyond the {args.kind} budget of n={budget} "
+            f"for p={args.p}; this run may take very long",
+            file=sys.stderr,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-    except BudgetExceeded as exc:
-        print(f"refused: {exc}; pass --force to proceed anyway", file=sys.stderr)
-        return EXIT_BUDGET
+    cls_ = CLASSIFY_KINDS[args.kind](args.p, args.n, workers=args.workers, force=args.force)
     _emit(_classification_lines(cls_, args.format), args.out)
     return EXIT_OK
 
@@ -247,11 +229,7 @@ def cmd_verify_tables(args: argparse.Namespace) -> int:
     lines: list[str] = []
     ok = True
     for table_id in table_ids:
-        try:
-            report = verify_table(table_id, max_n=args.max_n, workers=args.workers)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARAMS
+        report = verify_table(table_id, max_n=args.max_n, workers=args.workers)
         lines.extend(_table_lines(table_id, report, args.format))
         ok = ok and (report.confirmed if args.strict else report.acceptable)
     _emit(lines, args.out)
@@ -262,27 +240,13 @@ def cmd_verify_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    try:
-        first = _read_matrix(args.first)
-        second = _read_matrix(args.second)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _PARSE_EXIT[exc.kind]
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+    first, second = _read_matrix(args.first), _read_matrix(args.second)
     if (first.p, first.n) != (second.p, second.n):
-        print(
-            f"error: mismatched parameters: p={first.p} n={first.n} against "
-            f"p={second.p} n={second.n}",
-            file=sys.stderr,
+        raise ValueError(
+            f"mismatched parameters: p={first.p} n={first.n} against "
+            f"p={second.p} n={second.n}"
         )
-        return EXIT_PARAMS
-    try:
-        witness = equivalent_ep(first.code(), second.code(), args.max_n)
-    except BudgetExceeded as exc:
-        print(f"refused: {exc}; pass --max-n to raise the budget", file=sys.stderr)
-        return EXIT_BUDGET
+    witness = equivalent_ep(first.code(), second.code(), args.max_n)
     if witness is None:
         if args.format == "json":
             _emit([_dumps({"equivalent": False})], args.out)
@@ -369,9 +333,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSE_EXIT = {"syntax": EXIT_PARSE, "ragged": EXIT_RAGGED, "params": EXIT_PARAMS}
+# only classify and equiv have a budget to refuse on
+_REFUSAL_HINT = {"classify": "--force to proceed anyway", "equiv": "--max-n to raise the budget"}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _PARSE_EXIT[exc.kind]
+    except BudgetExceeded as exc:
+        print(f"refused: {exc}; pass {_REFUSAL_HINT[args.command]}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
 
 
 if __name__ == "__main__":

@@ -67,11 +67,12 @@ def canon_budget(p: int) -> int:
 
 
 def _check_budget(p: int, n: int, max_n: int | None) -> None:
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n!r}")
     limit = canon_budget(p) if max_n is None else max_n
     if n > limit:
         raise BudgetExceeded(
-            f"canonicalization refused at n={n} for p={p}; "
-            f"largest feasible n is {limit} (pass max_n to override)",
+            f"canonicalization refused at n={n} for p={p}; largest feasible n is {limit}",
             largest_feasible=limit,
         )
 
@@ -530,8 +531,10 @@ def equivalent_fp(
 ) -> MonomialMapFp | None:
     """A monomial map sending c1 to c2, or None.
 
-    The search is exact: invariant prefilters (dimension and the weight
-    enumerators of the code and its dual) only short-circuit the answer.
+    The search is exact: the invariant prefilters (dimension and weight
+    enumerator) only short-circuit the answer.  The dual's weight enumerator
+    is no further filter: by the MacWilliams identity it is a function of
+    the code's own.
     """
     if (c1.p, c1.n) != (c2.p, c2.n):
         raise ValueError("codes live in different spaces")
@@ -539,8 +542,6 @@ def equivalent_fp(
     if c1.k != c2.k:
         return None
     if c1.weight_enumerator != c2.weight_enumerator:
-        return None
-    if c1.dual.weight_enumerator != c2.dual.weight_enumerator:
         return None
     return _witness([c1], [c2])
 

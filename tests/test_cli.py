@@ -229,6 +229,50 @@ def test_equiv_mismatched_spaces(tmp_path, capsys):
     assert code == 4 and "mismatched" in err
 
 
+def test_equiv_rejects_a_cap_below_one(tmp_path, capsys):
+    # a bad parameter, not a refusal at "largest feasible n is 0"
+    a = _write(tmp_path, "a.txt", "p=2 n=2\nr r\n")
+    for max_n in ("0", "-1"):
+        code, out, err = _run(capsys, "equiv", a, a, "--max-n", max_n)
+        assert code == 4 and out == "" and err.startswith("error: max_n must be at least 1")
+
+
+def test_equiv_refusal_prints_one_hint(tmp_path, capsys):
+    a = _write(tmp_path, "a.txt", "p=3 n=7\nr r r r r r r\n")
+    code, out, err = _run(capsys, "equiv", a, a)
+    assert code == 5 and out == ""
+    assert err.startswith("refused:") and err.count("pass ") == 1 and "--max-n" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{a}"),
+        ("classify", "lcd", "--p", "2", "--n", "3"),
+        ("verify-tables", "--table", "10"),
+        ("equiv", "{a}", "{a}"),
+    ],
+)
+def test_unwritable_out_is_a_bad_parameter(tmp_path, capsys, argv):
+    # not a traceback and exit 1, which would read as a failed check
+    a = _write(tmp_path, "a.txt", "p=2 n=2\nr r\n")
+    argv = [arg.format(a=a) for arg in argv]
+    missing = str(tmp_path / "missing" / "report.txt")
+    code, out, err = _run(capsys, *argv, "--out", missing)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "missing" in err
+
+
+def test_internal_faults_propagate(capsys, monkeypatch):
+    # only bad input maps to an exit code; a library fault is never a bad parameter
+    def fault(*args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setitem(classify.CLASSIFY_KINDS, "lcd", fault)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        main(["classify", "lcd", "--p", "2", "--n", "3"])
+
+
 def test_out_writes_the_report_to_a_file(tmp_path, capsys):
     target = tmp_path / "report.jsonl"
     code, out, _ = _run(

@@ -304,3 +304,20 @@ def test_budget_refusals():
         canonical_form_fp(small, max_n=3)
     key, _ = canonical_form_fp(small, max_n=4)
     assert key == canonical_key_fp(small)
+
+
+def test_a_cap_below_one_is_a_bad_parameter_not_a_refusal():
+    # a cap of 0 would otherwise refuse every code as past "largest feasible n 0"
+    code = FpCode.from_rows(2, [(1, 0, 1, 0)], 4)
+    ep = EpCode.free_code(code)
+    for max_n in (0, -1):
+        for call in (
+            lambda: canonical_form_fp(code, max_n=max_n),
+            lambda: canonical_form_free(code, max_n=max_n),
+            lambda: canonical_form(ep, max_n=max_n),
+            lambda: equivalent_fp(code, code, max_n),
+            lambda: equivalent_ep(ep, ep, max_n),
+        ):
+            with pytest.raises(ValueError, match="max_n must be at least 1"):
+                call()
+    assert equivalent_ep(ep, ep, 4) is not None
