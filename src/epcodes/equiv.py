@@ -30,14 +30,24 @@ candidate that the generators fixing its prefix map onto an explored
 sibling.  A branch is dropped only when its serializations are those of
 a branch explored before it, so the first leaf in search order that
 attains the minimum is still reached: the key, the representative and
-the map that produces it are those of the unpruned search.  The witness
-search keeps no generators.
+the map that produces it are those of the unpruned search.
+
+The witness search keeps no generators; it prunes by coordinate
+invariants instead (Leon 1982).  The profile of a coordinate counts, in
+each code, the codewords of each weight that are nonzero there.  A
+monomial map keeps supports and weights, so a witness sends each source
+column to a target column of equal profile: codes whose profiles differ
+as multisets are inequivalent without a search, and otherwise each target
+column is offered only the source columns of its profile.  No branch that
+could reach a witness is dropped, so the witness found is the one the
+unpruned search finds first.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .code import EpCode
 from .fp import FpCode, Mat, Vec, inverse_table, rref, validate_modulus
@@ -54,10 +64,10 @@ class BudgetExceeded(RuntimeError):
 
 # Largest length canonicalized without an explicit override.  This is a
 # length guard on one search on outside input, not a cost estimate: with
-# automorphism pruning F_2^13 canonicalizes in 8.7 ms, while the slowest
-# p=2 n=10 witness search of the equiv-batch benchmark took 0.29 s (2-CPU
-# x86-64, Python 3.11, traced); the cost left is in prefixes that tie the
-# incumbent's without an automorphism behind them.
+# automorphism pruning F_2^13 canonicalizes in 8.7 ms, and with profile
+# pruning the slowest p=2 n=10 witness search of the equiv-batch benchmark
+# takes 9.5 ms, against 0.33 s without (2-CPU x86-64, Python 3.11, traced,
+# seed 1).
 CANON_BUDGET = {2: 10, 3: 6}
 _CANON_BUDGET_OTHER = 5
 
@@ -215,6 +225,15 @@ class MonomialMapEp:
 # _minimize (canonical forms) and _witness (equivalence) are the engine's
 # only callers; the public entry points below go through them.
 #
+# Witness mode compares each candidate's serialization with the target's
+# column, and takes from _witness one allowed set of source columns per
+# target column: the columns whose profile equals the target column's.  A
+# node skips the unassigned columns outside its allowed set before it picks
+# a representative per class; the columns of one joint projective class
+# share a profile, so the node keeps or skips whole classes and the
+# representatives it keeps are unchanged.  Minimize mode gets no allowed
+# sets.
+#
 # Minimize mode prunes three ways.  Bound: candidates are sorted, and the
 # loop stops at the first that makes the prefix exceed the incumbent.
 # Backjump: two leaves with equal serialization have equal image codes,
@@ -344,13 +363,16 @@ def _search(
     n: int,
     mats0: Sequence[Sequence[Sequence[int]]],
     target: Sequence[tuple[int, ...]] | None,
+    allowed: Sequence[Collection[int]] | None = None,
 ) -> tuple[list[tuple[int, ...]], MonomialMapFp] | None:
     """Shared engine.
 
     With ``target`` given, finds one assignment whose serialization equals
     it (equivalence witness); otherwise minimizes the serialization over
-    the group (canonical form).  Returns the serialized columns and the
-    map that produces them, or None when no witness exists.
+    the group (canonical form).  ``allowed[t]``, when given, holds every
+    source column a witness may send to target column t; it must be a
+    union of joint projective classes.  Returns the serialized columns and
+    the map that produces them, or None when no witness exists.
     """
     units = range(1, p)
     inv = inverse_table(p)
@@ -387,6 +409,8 @@ def _search(
         reps: dict[int, int] = {}
         candidates = []
         for s in unassigned:
+            if allowed is not None and s not in allowed[t]:
+                continue
             anchor, f = classes[s]
             if anchor not in reps:
                 reps[anchor] = s
@@ -451,13 +475,59 @@ def _minimize(
     return cols, [m.apply(c) for c in codes]
 
 
+def _profile(codes: Sequence[FpCode]) -> list[tuple[Vec, ...]]:
+    """Per coordinate j, one tuple per code: the number of its codewords of
+    each weight 0..n that are nonzero at j.  Summed over j, a code's tuples
+    give w * A_w for each weight w, so equal profiles imply equal weight
+    enumerators.
+
+    Each codeword's support is packed as an int with one field per
+    coordinate, wide enough for any count; summing the words of one weight
+    adds up all n counts at once.  At p=2 packing commutes with addition
+    of words, so the packed rows span the packed words by XOR.
+    """
+    n = codes[0].n
+    per_code: list[list[Vec]] = []
+    for c in codes:
+        width = (c.p**c.k).bit_length()
+        unit = [1 << (j * width) for j in range(n)]
+        if c.p == 2:
+            words = [0]
+            for row in c.basis:
+                bits = sum(u for u, v in zip(unit, row) if v)
+                words += [w ^ bits for w in words]
+        else:
+            words = [sum(u for u, v in zip(unit, word) if v) for word in c.codewords()]
+        words.sort(key=int.bit_count)
+        counts = [[0] * (n + 1) for _ in range(n)]
+        field = (1 << width) - 1
+        for wt, group in itertools.groupby(words, int.bit_count):
+            total = sum(group)
+            for j in range(n):
+                counts[j][wt] = (total >> (j * width)) & field
+        per_code.append([tuple(row) for row in counts])
+    return list(zip(*per_code))
+
+
 def _witness(codes1: Sequence[FpCode], codes2: Sequence[FpCode]) -> MonomialMapFp | None:
     """A monomial map carrying each of ``codes1`` onto its partner in
-    ``codes2``, or None; a map that fails to do so is an internal error."""
+    ``codes2``, or None; a map that fails to do so is an internal error.
+
+    Codes whose profiles differ as multisets are inequivalent without a
+    search; otherwise target column t is offered the source columns whose
+    profile equals its own.
+    """
     p, n = codes1[0].p, codes1[0].n
+    prof1, prof2 = _profile(codes1), _profile(codes2)
+    if sorted(prof1) != sorted(prof2):
+        return None
+    by_profile: dict[tuple[Vec, ...], set[int]] = {}
+    for s, prof in enumerate(prof1):
+        by_profile.setdefault(prof, set()).add(s)
+    allowed = [by_profile[prof] for prof in prof2]
     # the RREF bases of codes2 are their own serialization, read by column
     target = [tuple(row[j] for c in codes2 for row in c.basis) for j in range(n)]
-    found = _search(p, n, [c.basis for c in codes1], target)
+    found = _search(p, n, [c.basis for c in codes1], target, allowed)
     if found is None:
         return None
     m = found[1]
@@ -531,17 +601,14 @@ def equivalent_fp(
 ) -> MonomialMapFp | None:
     """A monomial map sending c1 to c2, or None.
 
-    The search is exact: the invariant prefilters (dimension and weight
-    enumerator) only short-circuit the answer.  The dual's weight enumerator
-    is no further filter: by the MacWilliams identity it is a function of
-    the code's own.
+    Codes of unequal dimension are inequivalent at once; otherwise the
+    witness search decides, and it first compares the per-coordinate weight
+    profiles, which determine the weight enumerator.
     """
     if (c1.p, c1.n) != (c2.p, c2.n):
         raise ValueError("codes live in different spaces")
     _check_budget(c1.p, c1.n, max_n)
     if c1.k != c2.k:
-        return None
-    if c1.weight_enumerator != c2.weight_enumerator:
         return None
     return _witness([c1], [c2])
 
@@ -569,8 +636,10 @@ def equivalent_ep(
 ) -> MonomialMapEp | None:
     """A monomial map over E_p sending c1 to c2, or None.
 
-    Free codes reduce to residue equivalence; the general case searches
-    for one coordinate change carrying both pairs simultaneously.
+    Codes of unequal (m1, m2) are inequivalent at once.  Free codes reduce
+    to residue equivalence; the general case searches for one coordinate
+    change carrying both pairs simultaneously, pruned by the joint
+    per-coordinate weight profiles of residue and torsion.
     """
     if (c1.p, c1.n) != (c2.p, c2.n):
         raise ValueError("codes live in different spaces")
@@ -579,10 +648,6 @@ def equivalent_ep(
         return None
     if c1.is_free:
         m = equivalent_fp(c1.residue, c2.residue, max_n)
-    elif c1.residue.weight_enumerator != c2.residue.weight_enumerator:
-        return None
-    elif c1.torsion.weight_enumerator != c2.torsion.weight_enumerator:
-        return None
     else:
         m = _witness([c1.residue, c1.torsion], [c2.residue, c2.torsion])
     return None if m is None else m.lift()

@@ -23,7 +23,8 @@ from epcodes import (
     equivalent_fp,
     iter_subspaces,
 )
-from epcodes.equiv import monomial_orbit
+from epcodes import equiv
+from epcodes.equiv import _profile, monomial_orbit
 from oracles import brute_canonical_key, brute_monomial_images
 from test_code import B_CODE, C_CODE, _pairs, _words
 
@@ -194,6 +195,74 @@ def test_equivalent_ep_rejects_different_spaces():
         equivalent_ep(EpCode.zero(2, 2), EpCode.zero(2, 3))
     with pytest.raises(ValueError):
         equivalent_ep(EpCode.zero(2, 2), EpCode.zero(3, 2))
+
+
+def test_equivalent_ep_matches_brute_force_among_nonfree_codes():
+    # every non-free code at (2, 4) and (3, 3), against each code that shares
+    # its (m1, m2) and both weight enumerators, where only the search and the
+    # coordinate profiles can tell the two apart
+    for p, n in ((2, 4), (3, 3)):
+        groups = {}
+        for code in _pairs(p, n):
+            if not code.is_free:
+                invariants = (
+                    code.m1,
+                    code.m2,
+                    code.residue.weight_enumerator,
+                    code.torsion.weight_enumerator,
+                )
+                groups.setdefault(invariants, []).append(code)
+        for group in groups.values():
+            keys = [brute_canonical_key(p, n, [c.residue.basis, c.torsion.basis]) for c in group]
+            for c1, key1 in zip(group, keys):
+                for c2, key2 in zip(group, keys):
+                    witness = equivalent_ep(c1, c2)
+                    assert (witness is not None) == (key1 == key2)
+                    if witness is not None:
+                        assert witness.apply(c1) == c2
+
+
+def test_profile_counts_codewords_and_follows_the_coordinates():
+    rng = random.Random(50)
+    for _ in range(60):
+        p = rng.choice((2, 3))
+        n = rng.randint(1, 7 if p == 2 else 5)
+        codes = [_random_fp(rng, p, n) for _ in range(rng.randint(1, 2))]
+        before = _profile(codes)
+        for s in range(n):
+            direct = []
+            for c in codes:
+                counts = [0] * (n + 1)
+                for word in c.codewords():
+                    if word[s]:
+                        counts[sum(1 for v in word if v)] += 1
+                direct.append(tuple(counts))
+            assert before[s] == tuple(direct)
+        m = _random_map_fp(rng, p, n)
+        after = _profile([m.apply(c) for c in codes])
+        assert all(after[m.perm[s]] == before[s] for s in range(n))
+
+
+def test_unequal_profiles_are_inequivalent_without_a_search(monkeypatch):
+    # equal weight enumerators (1, 0, 3, 0, 3, 0, 1), unequal profiles
+    a = FpCode.from_rows(2, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 1), (0, 0, 1, 1, 1, 1)])
+    b = FpCode.from_rows(2, [(1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0), (0, 0, 1, 1, 0, 0)])
+    assert a.weight_enumerator == b.weight_enumerator
+    # one torsion, and residues of one weight; the residue word runs through
+    # the torsion's weight-1 words in c and through its weight-2 word in d
+    torsion = FpCode.from_rows(2, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)])
+    c = EpCode(FpCode.from_rows(2, [(1, 1, 0, 0)]), torsion)
+    d = EpCode(FpCode.from_rows(2, [(0, 0, 1, 1)]), torsion)
+    assert c.residue.weight_enumerator == d.residue.weight_enumerator
+
+    def no_search(*args):
+        raise AssertionError("the witness search ran")
+
+    monkeypatch.setattr(equiv, "_search", no_search)
+    assert equivalent_fp(a, b) is None
+    assert equivalent_ep(c, d) is None
+    with pytest.raises(AssertionError):
+        equivalent_ep(c, c)
 
 
 def test_canonical_form_fp_is_invariant_and_canonical():
