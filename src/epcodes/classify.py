@@ -267,8 +267,10 @@ def _check_request(kind: str, p: int, n: int, workers: int = 1, force: bool = Fa
 def _canonical(code: EpCode) -> tuple[bytes, EpCode]:
     """Canonical key and representative; free codes take the residue search.
 
-    Passing n as the cap lifts the canonical budget: every census is gated
-    by its own budget, which is never above it, and the verifier
+    Passing n as the cap lifts the canonical budget, which guards single
+    searches on outside input.  A census may exceed it (left-self-dual
+    classifies p=3 up to n=8, and ``equiv.CANON_BUDGET[3]`` is 6), but its
+    requests are gated by ``Census.budget`` or ``force``, and the verifier
     canonicalizes only printed rows.
     """
     if code.is_free:
@@ -368,12 +370,18 @@ def _census(name: str, p: int, n: int, workers: int, force: bool) -> Classificat
     return _cache[(name, p, n)]
 
 
+def count_classes(count: int, noun: str = "") -> str:
+    """"1 class" or "2 classes", with ``noun`` before the last word."""
+    words = (str(count), noun, "class" if count == 1 else "classes")
+    return " ".join(w for w in words if w)
+
+
 def _mds_amds(kind: str, full: Classification) -> Classification:
     """The MDS and AMDS classes of a census, reported as ``kind``; built once."""
     key = ("mds-amds-" + full.kind, full.p, full.n)
     if key not in _cache:
         records = tuple(r for r in full.records if r.mds_status is not MdsStatus.NEITHER)
-        note = f"{full.total} {CENSUSES[full.kind].noun} classes in total"
+        note = f"{count_classes(full.total, CENSUSES[full.kind].noun)} in total"
         _cache[key] = Classification(kind, full.p, full.n, records, full.total, note)
     return _cache[key]
 
@@ -677,8 +685,7 @@ def _verify_matrices(table: MatrixTable, limit: int, workers: int) -> TableRepor
         fixture_keys = set(block_keys(n))
         label = f"n={n} census" + ("" if fixture_keys else " (absent length)")
         if fixture_keys == cls_.keys():
-            noun = "class" if cls_.total == 1 else "classes"
-            detail = f"{cls_.total} {noun}, matching the printed block exactly"
+            detail = f"{count_classes(cls_.total)}, matching the printed block exactly"
             verdicts.append(RowVerdict(label, Verdict.CONFIRMED, detail=detail))
         else:
             missing = len(fixture_keys - cls_.keys())

@@ -7,8 +7,7 @@ byte-identical reports regardless of the worker count, and the JSON
 format is line-delimited with one object per line.
 
 Exit codes are stable contracts, and ``main`` is the one place that maps
-an error to its code; any other exception is an internal fault and
-propagates:
+an error to its code:
   0  success (equivalent / confirmed / classified)
   1  failed check only: an inequivalent pair, or a table discrepancy
      outside the allowlist
@@ -21,6 +20,8 @@ propagates:
      past the canonical budget (CANON_BUDGET) without --max-n;
      verify-tables never refuses, since its --max-n lifts the budget
   6  ragged generator matrix (wrong number of entries in a row)
+  70 internal fault: any other exception, with its traceback on stderr
+     (EX_SOFTWARE); KeyboardInterrupt and SystemExit still propagate
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import __version__
 from .classify import (
     CLASSIFY_KINDS,
     Verdict,
     classify_budget,
+    count_classes,
     validate_workers,
     verify_table,
 )
@@ -47,6 +50,7 @@ EXIT_PARSE = 3
 EXIT_PARAMS = 4
 EXIT_BUDGET = 5
 EXIT_RAGGED = 6
+EXIT_INTERNAL = 70
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -169,7 +173,7 @@ def _classification_lines(cls_, fmt: str) -> list[str]:
             "note": cls_.note,
         }
         return [_dumps(header)] + [_dumps(r.to_json_dict()) for r in cls_.records]
-    lines = [f"{cls_.kind} p={cls_.p} n={cls_.n}: {cls_.total} classes"]
+    lines = [f"{cls_.kind} p={cls_.p} n={cls_.n}: {count_classes(cls_.total)}"]
     if cls_.note:
         lines.append(f"note: {cls_.note}")
     for i, rec in enumerate(cls_.records, 1):
@@ -351,6 +355,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
+    except Exception:
+        print("internal fault:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

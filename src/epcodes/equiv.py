@@ -34,18 +34,18 @@ the map that produces it are those of the unpruned search.
 
 The witness search keeps no generators; it prunes by coordinate
 invariants instead (Leon 1982).  The profile of a coordinate counts, in
-each code, the codewords of each weight that are nonzero there.  A
-monomial map keeps supports and weights, so a witness sends each source
-column to a target column of equal profile: codes whose profiles differ
-as multisets are inequivalent without a search, and otherwise each target
-column is offered only the source columns of its profile.  No branch that
+each code, the codewords of each weight that are nonzero there; one code's
+profiles are :meth:`~epcodes.fp.FpCode.weight_profile`.  A monomial map
+keeps supports and weights, so a witness sends each source column to a
+target column of equal profile: codes whose profiles differ as multisets
+are inequivalent without a search, and otherwise each target column is
+offered only the source columns of its profile.  No branch that
 could reach a witness is dropped, so the witness found is the one the
 unpruned search finds first.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
@@ -227,7 +227,8 @@ class MonomialMapEp:
 #
 # Witness mode compares each candidate's serialization with the target's
 # column, and takes from _witness one allowed set of source columns per
-# target column: the columns whose profile equals the target column's.  A
+# target column: the columns whose profile (FpCode.weight_profile, one
+# per code of the list) equals the target column's.  A
 # node skips the unassigned columns outside its allowed set before it picks
 # a representative per class; the columns of one joint projective class
 # share a profile, so the node keeps or skips whole classes and the
@@ -476,37 +477,9 @@ def _minimize(
 
 
 def _profile(codes: Sequence[FpCode]) -> list[tuple[Vec, ...]]:
-    """Per coordinate j, one tuple per code: the number of its codewords of
-    each weight 0..n that are nonzero at j.  Summed over j, a code's tuples
-    give w * A_w for each weight w, so equal profiles imply equal weight
-    enumerators.
-
-    Each codeword's support is packed as an int with one field per
-    coordinate, wide enough for any count; summing the words of one weight
-    adds up all n counts at once.  At p=2 packing commutes with addition
-    of words, so the packed rows span the packed words by XOR.
-    """
-    n = codes[0].n
-    per_code: list[list[Vec]] = []
-    for c in codes:
-        width = (c.p**c.k).bit_length()
-        unit = [1 << (j * width) for j in range(n)]
-        if c.p == 2:
-            words = [0]
-            for row in c.basis:
-                bits = sum(u for u, v in zip(unit, row) if v)
-                words += [w ^ bits for w in words]
-        else:
-            words = [sum(u for u, v in zip(unit, word) if v) for word in c.codewords()]
-        words.sort(key=int.bit_count)
-        counts = [[0] * (n + 1) for _ in range(n)]
-        field = (1 << width) - 1
-        for wt, group in itertools.groupby(words, int.bit_count):
-            total = sum(group)
-            for j in range(n):
-                counts[j][wt] = (total >> (j * width)) & field
-        per_code.append([tuple(row) for row in counts])
-    return list(zip(*per_code))
+    """Per coordinate j, the weight profile of each code at j
+    (:meth:`~epcodes.fp.FpCode.weight_profile`)."""
+    return list(zip(*(c.weight_profile() for c in codes)))
 
 
 def _witness(codes1: Sequence[FpCode], codes2: Sequence[FpCode]) -> MonomialMapFp | None:

@@ -5,10 +5,10 @@ tuples.  Everything is computed with exact integer arithmetic; no floats
 anywhere.  An :class:`FpCode` stores the unique reduced row echelon basis
 of its row space, so two codes are equal iff they are the same subspace.
 
-Supported moduli are the primes up to 13.  Binary codeword enumeration
-packs rows into ints and walks the span with XOR; other characteristics
-use plain tuple arithmetic, which is fast enough at the lengths this
-package classifies (n <= 13).
+Supported moduli are the primes up to 13.  Weights are counted once, by
+:meth:`FpCode.weight_profile`, on supports packed into ints: spanned by XOR
+at p=2, by plain tuple arithmetic otherwise, which is fast enough at the
+lengths this package classifies (n <= 13).
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ def vec_scale(c: int, x: Vec, p: int) -> Vec:
 
 def vec_dot(x: Vec, y: Vec, p: int) -> int:
     return sum(a * b for a, b in zip(x, y)) % p
-
-
-def vec_weight(x: Vec) -> int:
-    return sum(1 for a in x if a)
 
 
 def rref(p: int, rows: Sequence[Sequence[int]], n: int | None = None) -> tuple[Mat, Vec]:
@@ -190,26 +186,41 @@ class FpCode:
             words = [vec_add(w, s, p) for s in [(0,) * n] + scaled for w in words]
         return iter(words)
 
+    def weight_profile(self) -> tuple[Vec, ...]:
+        """Per coordinate j, the number of codewords of each weight 0..n
+        that are nonzero at j.  Summed over j, the tuples give w * A_w for
+        each weight w.
+
+        Each codeword's support is packed as an int with one field per
+        coordinate, wide enough for any count; summing the words of one weight
+        adds up all n counts at once.  At p=2 packing commutes with addition
+        of words, so the packed rows span the packed words by XOR.
+        """
+        n = self.n
+        width = (self.p**self.k).bit_length()
+        unit = [1 << (j * width) for j in range(n)]
+        if self.p == 2:
+            words = [0]
+            for row in self.basis:
+                bits = sum(u for u, v in zip(unit, row) if v)
+                words += [w ^ bits for w in words]
+        else:
+            words = [sum(u for u, v in zip(unit, word) if v) for word in self.codewords()]
+        words.sort(key=int.bit_count)
+        counts = [[0] * (n + 1) for _ in range(n)]
+        field = (1 << width) - 1
+        for wt, group in itertools.groupby(words, int.bit_count):
+            total = sum(group)
+            for j in range(n):
+                counts[j][wt] = (total >> (j * width)) & field
+        return tuple(tuple(row) for row in counts)
+
     @cached_property
     def weight_enumerator(self) -> Vec:
-        """Coefficient tuple (A_0, ..., A_n) of the weight enumerator."""
-        counts = [0] * (self.n + 1)
-        if self.p == 2:
-            packed = [_pack2(row) for row in self.basis]
-            for mask in range(1 << self.k):
-                word = 0
-                m = mask
-                i = 0
-                while m:
-                    if m & 1:
-                        word ^= packed[i]
-                    m >>= 1
-                    i += 1
-                counts[word.bit_count()] += 1
-        else:
-            for word in self.codewords():
-                counts[vec_weight(word)] += 1
-        return tuple(counts)
+        """Coefficient tuple (A_0, ..., A_n) of the weight enumerator, read
+        off the weight profile: a word of weight w is nonzero at w coordinates."""
+        by_weight = list(zip(*self.weight_profile()))
+        return (1,) + tuple(sum(by_weight[w]) // w for w in range(1, self.n + 1))
 
     @cached_property
     def min_distance(self) -> int | None:
@@ -296,14 +307,6 @@ class FpCode:
         if self.k == self.n - d:
             return MdsStatus.AMDS
         return MdsStatus.NEITHER
-
-
-def _pack2(row: Vec) -> int:
-    bits = 0
-    for j, v in enumerate(row):
-        if v:
-            bits |= 1 << j
-    return bits
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

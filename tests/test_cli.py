@@ -263,14 +263,15 @@ def test_unwritable_out_is_a_bad_parameter(tmp_path, capsys, argv):
     assert err.startswith("error:") and "missing" in err
 
 
-def test_internal_faults_propagate(capsys, monkeypatch):
-    # only bad input maps to an exit code; a library fault is never a bad parameter
+def test_internal_faults_exit_70(capsys, monkeypatch):
+    # a library fault is neither a bad parameter nor a failed check
     def fault(*args, **kwargs):
         raise RuntimeError("internal fault")
 
     monkeypatch.setitem(classify.CLASSIFY_KINDS, "lcd", fault)
-    with pytest.raises(RuntimeError, match="internal fault"):
-        main(["classify", "lcd", "--p", "2", "--n", "3"])
+    code, out, err = _run(capsys, "classify", "lcd", "--p", "2", "--n", "3")
+    assert code == 70 and out == ""
+    assert "internal fault" in err
 
 
 def test_out_writes_the_report_to_a_file(tmp_path, capsys):

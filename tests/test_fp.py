@@ -78,14 +78,19 @@ def test_dual_matches_brute_force_exhaustively():
 
 def test_weight_enumerator_counts_directly():
     rng = random.Random(15)
+    codes = []
     for p in (2, 3, 5):
         for _ in range(25):
             n = rng.randint(1, 5)
-            c = FpCode.from_rows(p, _random_rows(rng, p, n, rng.randint(0, n)), n)
-            direct = [0] * (n + 1)
-            for w in fp_span(p, c.basis, n):
-                direct[sum(1 for x in w if x)] += 1
-            assert list(c.weight_enumerator) == direct
+            codes.append(FpCode.from_rows(p, _random_rows(rng, p, n, rng.randint(0, n)), n))
+    # the zero codes, and F_2^10 with the widest packed fields of any test
+    codes += [FpCode.zero(p, 4) for p in (2, 3, 5)] + [FpCode.full(2, 10)]
+    for c in codes:
+        direct = [0] * (c.n + 1)
+        for w in fp_span(c.p, c.basis, c.n):
+            direct[sum(1 for x in w if x)] += 1
+        assert list(c.weight_enumerator) == direct
+    assert FpCode.full(2, 10).weight_enumerator == tuple(math.comb(10, w) for w in range(11))
 
 
 def test_min_distance_is_the_least_nonzero_weight():
