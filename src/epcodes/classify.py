@@ -11,9 +11,9 @@ which prunes a basis row by row, and keep them all.
 
 Each monomial orbit of residues is canonicalized once (orbit-level
 generation after McKay, "Isomorph-free exhaustive generation", 1998): a
-residue that starts a new class adds its whole orbit
-(``equiv.monomial_orbit``) to the set of bases its shard has met, and every
-later residue of that orbit is skipped before the census predicate is
+residue that starts a new class adds its whole orbit (``equiv.monomial_orbit``,
+the canonical search without its bound) to the set of bases its shard has met,
+and every later residue of that orbit is skipped before the census predicate is
 asked.  This is exact.  At p = 2 and p = 3, the only moduli classified,
 every monomial scaling is an isometry, so each census predicate
 (``is_lcd``, self-orthogonality) holds on a whole orbit or nowhere on it,
@@ -194,9 +194,9 @@ class Census:
 # The cost of each census at its budget and past it (the next even length
 # for the self-dual kinds), one in-process run each with force=True and one
 # worker (2-CPU x86-64, Python 3.11):
-#   lcd             p=2  n=7 1.5 s, n=8 22 s      p=3  n=6 3.3 s, n=7 133 s
-#   left-self-dual  p=2  n=10 0.47 s, n=12 29 s   p=3  n=8 0.30 s, n=10 37 s
-#   self-dual       p=2  n=8 0.30 s, n=10 12 s    p=3  n=6 0.05 s, n=8 6.5 s
+#   lcd             p=2  n=7 1.2 s, n=8 17 s      p=3  n=6 1.8 s, n=7 57 s
+#   left-self-dual  p=2  n=10 0.30 s, n=12 25 s   p=3  n=8 0.18 s, n=10 37 s
+#   self-dual       p=2  n=8 0.19 s, n=10 12 s    p=3  n=6 0.07 s, n=8 3.8 s
 # With one canonical search per class, the time goes to the walk and to
 # marking orbits.  Odd lengths hold no left self-dual code, and at p=3 none
 # of length 6 or 10.

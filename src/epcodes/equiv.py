@@ -1,4 +1,4 @@
-"""Monomial equivalence of codes: group actions, witnesses, canonical forms.
+"""Monomial equivalence of codes: group actions, witnesses, canonical forms, orbits.
 
 A monomial map permutes the n coordinates and scales each by a unit.
 Over E_p the scaling entries must come from outside the maximal ideal
@@ -6,31 +6,33 @@ Over E_p the scaling entries must come from outside the maximal ideal
 on an :class:`~epcodes.code.EpCode` through the F_p monomial map carrying
 alpha of each scale, applied to the residue and torsion codes jointly.
 
-Equivalence testing and canonicalization share one search over column
-assignments.  Fix the RREF basis B of a code and assign target columns
-0..n-1 to (source column, unit scale) choices.  The serialized image is
-read off column by column: the first t columns of the RREF of the mapped
-matrix equal the RREF of the chosen k x t submatrix (padded with zero
-rows), so the serialization is append-only and supports tight pruning.
-The canonical key is the lexicographic minimum of that serialization
-over the whole monomial group; equivalence searches instead for an
-assignment whose serialization matches the other code's own RREF.
-Every canonical form goes through ``_minimize`` and every witness through
-``_witness``.  Both search a list of F_p codes jointly: one
+Canonical forms, equivalence and monomial orbits share one search over
+column assignments.  Fix the RREF basis B of a code and assign target
+columns 0..n-1 to (source column, unit scale) choices.  The serialized
+image is read off column by column: the first t columns of the RREF of the
+mapped matrix equal the RREF of the chosen k x t submatrix (padded with
+zero rows), so the serialization is append-only and supports tight
+pruning.  The search runs in one of three modes:
+
+- minimize: the canonical key is the lexicographic minimum of that
+  serialization over the whole monomial group (``_minimize``);
+- witness: an assignment whose serialization matches the other code's own
+  RREF decides equivalence (``_witness``);
+- orbit: every serialization the group reaches, which read back as RREF
+  bases are the code's monomial orbit (:func:`monomial_orbit`).
+
+Each mode searches a list of F_p codes jointly: one
 :class:`~epcodes.fp.FpCode`, or the (residue, torsion) pair of an E_p code.
 
-The minimizing search prunes with the automorphisms it meets (after Leon,
-"Computing automorphism groups of error-correcting codes", 1982, and
-McKay & Piperno, "Practical graph isomorphism II", 2014).  A leaf whose
-serialization ties the incumbent's yields an automorphism of the codes
-that fixes the two leaves' common prefix and maps the incumbent's branch
-at their divergence onto the new one, so the search backjumps to that
-node.  Each such automorphism is kept as a generator, and a node skips a
-candidate that the generators fixing its prefix map onto an explored
-sibling.  A branch is dropped only when its serializations are those of
-a branch explored before it, so the first leaf in search order that
-attains the minimum is still reached: the key, the representative and
-the map that produces it are those of the unpruned search.
+The minimize and orbit modes prune with the automorphisms they meet (after
+Leon, "Computing automorphism groups of error-correcting codes", 1982, and
+McKay & Piperno, "Practical graph isomorphism II", 2014), under one tie
+rule: a leaf whose serialization was met before yields an automorphism,
+kept as a generator, and the search backjumps to the node where the two
+leaves diverge.  Only branches that repeat the serializations of branches
+explored before them are dropped, so minimize mode, which also bounds by
+the incumbent, gives the key, representative and map of the unpruned
+search, and orbit mode meets every serialization of the orbit.
 
 The witness search keeps no generators; it prunes by coordinate
 invariants instead (Leon 1982).  The profile of a coordinate counts, in
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from typing import Collection, Sequence
 
 from .code import EpCode
-from .fp import FpCode, Mat, Vec, inverse_table, rref, validate_modulus
+from .fp import FpCode, Mat, Vec, inverse_table, validate_modulus
 from .ring import EpElem
 
 
@@ -222,35 +224,40 @@ class MonomialMapEp:
 # need; the row reduction that builds a successor state (_enter) runs only
 # for the candidates the search actually enters.
 #
-# _minimize (canonical forms) and _witness (equivalence) are the engine's
-# only callers; the public entry points below go through them.
+# _minimize (canonical forms), _witness (equivalence) and monomial_orbit
+# are the engine's only callers; the public entry points go through them.
 #
 # Witness mode compares each candidate's serialization with the target's
 # column, and takes from _witness one allowed set of source columns per
 # target column: the columns whose profile (FpCode.weight_profile, one
-# per code of the list) equals the target column's.  A
-# node skips the unassigned columns outside its allowed set before it picks
-# a representative per class; the columns of one joint projective class
-# share a profile, so the node keeps or skips whole classes and the
-# representatives it keeps are unchanged.  Minimize mode gets no allowed
-# sets.
+# per code of the list) equals the target column's.  A node skips the
+# unassigned columns outside its allowed set before it picks a
+# representative per class; the columns of one joint projective class share
+# a profile, so the node keeps or skips whole classes and the
+# representatives it keeps are unchanged.  The other modes get no allowed
+# sets, and witness mode keeps no leaf table.
 #
-# Minimize mode prunes three ways.  Bound: candidates are sorted, and the
-# loop stops at the first that makes the prefix exceed the incumbent.
-# Backjump: two leaves with equal serialization have equal image codes,
-# so their maps m, m' differ by an automorphism g = m'^-1 m of the codes.
-# g fixes their common prefix pointwise with factor 1, and for every map
-# x through the incumbent's branch at the divergence node, x g^-1 runs
-# through the new leaf's branch with the same serialization: the rest of
-# that branch repeats one explored before it, and the search resumes at
-# the divergence node.  Orbits: g is kept as a generator (perm, factor),
-# which sends source column s to perm[s] scaled by factor[s].  A generator
-# that fixes a node's prefix sends its candidate (s, u) to (perm[s],
-# u / factor[s]), read modulo the joint projective classes, with the same
-# set of serializations; so candidates are grouped into orbits (union-find,
-# grown as generators arrive) and only the first of each orbit is searched.
-# Every dropped leaf has an equal leaf earlier in search order, so the
-# first leaf that attains the minimum is never dropped.
+# Minimize and orbit mode keep a leaf table: each serialization met, with
+# the map that first reached it.  They prune by backjump and orbits, and
+# minimize mode also by bound: candidates are sorted, and the loop stops at
+# the first that makes the prefix exceed the incumbent.  So a leaf missing
+# from the table is a new minimum, or in orbit mode a new orbit member.
+# Backjump: a leaf in the table ties the leaf that first reached it.  Two
+# leaves with equal serialization have equal image codes, so their maps
+# m, m' differ by an automorphism g = m'^-1 m of the codes.  g fixes their
+# common prefix pointwise with factor 1, and for every map x through the
+# earlier leaf's branch at the divergence node, x g^-1 runs through the new
+# leaf's branch with the same serialization.  That earlier branch is a
+# sibling explored before, so the rest of the new one repeats it, and the
+# search resumes at the divergence node.  Orbits: g is kept as a generator
+# (perm, factor), which sends source column s to perm[s] scaled by
+# factor[s].  A generator that fixes a node's prefix sends its candidate
+# (s, u) to (perm[s], u / factor[s]), read modulo the joint projective
+# classes, with the same set of serializations; so candidates are grouped
+# into orbits (union-find, grown as generators arrive) and only the first
+# of each orbit is searched.  Every dropped leaf has an equal leaf earlier
+# in search order, so the first leaf that attains the minimum is never
+# dropped, and orbit mode meets every serialization.
 # ---------------------------------------------------------------------------
 
 
@@ -365,21 +372,24 @@ def _search(
     mats0: Sequence[Sequence[Sequence[int]]],
     target: Sequence[tuple[int, ...]] | None,
     allowed: Sequence[Collection[int]] | None = None,
-) -> tuple[list[tuple[int, ...]], MonomialMapFp] | None:
-    """Shared engine.
-
-    With ``target`` given, finds one assignment whose serialization equals
-    it (equivalence witness); otherwise minimizes the serialization over
-    the group (canonical form).  ``allowed[t]``, when given, holds every
-    source column a witness may send to target column t; it must be a
-    union of joint projective classes.  Returns the serialized columns and
-    the map that produces them, or None when no witness exists.
+    orbit: bool = False,
+) -> tuple[list[tuple[int, ...]], MonomialMapFp] | set[Mat] | None:
+    """Shared engine: with ``target`` given, finds one assignment whose
+    serialization equals it (equivalence witness); otherwise minimizes the
+    serialization over the group (canonical form), or with ``orbit`` meets
+    every serialization the group reaches.  ``allowed[t]``, when given,
+    holds every source column a witness may send to target column t; it
+    must be a union of joint projective classes.  Returns the serialized
+    columns and the map that produces them, None when no witness exists,
+    or in orbit mode the set of serializations transposed to RREF bases.
     """
     units = range(1, p)
     inv = inverse_table(p)
     classes = _source_classes(mats0, n, p)
     best: tuple[list[tuple[int, ...]], list[int], list[int]] | None = None
     gens: list[tuple[list[int], list[int]]] = []
+    # the leaf table, each map as its sources then its scales
+    leaves: dict[tuple[tuple[int, ...], ...], bytes] = {}
 
     def rec(
         mats: list[list[list[int]]],
@@ -394,11 +404,18 @@ def _search(
         nonlocal best
         t = n - len(unassigned)
         if not unassigned:
-            if target is not None or best is None or prefix < best[0]:
+            if target is not None:
                 best = (prefix, sources, scales)
-                return -1 if target is not None else None
+                return -1
+            first = leaves.get(key := tuple(prefix))
+            if first is None:
+                # a new minimum, or in orbit mode a new member of the orbit
+                leaves[key] = bytes(sources + scales)
+                if not orbit:
+                    best = (prefix, sources, scales)
+                return None
             # a tie: keep the automorphism, backjump to the divergence node
-            _, sources0, scales0 = best
+            sources0, scales0 = first[:n], first[n:]
             perm, factor = list(range(n)), [1] * n
             for s0, u0, s, u in zip(sources0, scales0, sources, scales):
                 perm[s0], factor[s0] = s, u0 * inv[u] % p
@@ -449,6 +466,12 @@ def _search(
     mats = [[list(r) for r in m] for m in mats0]
     if rec(mats, [0] * len(mats0), list(range(n)), [], [], []) is None and target is not None:
         return None
+    if orbit:
+        # drained entry by entry, so the table and the set never both hold the orbit
+        bases = set()
+        while leaves:
+            bases.add(tuple(zip(*leaves.popitem()[0])))
+        return bases
     cols, sources, scales = best
     perm = [0] * n
     scale = [1] * n
@@ -515,35 +538,11 @@ def _witness(codes1: Sequence[FpCode], codes2: Sequence[FpCode]) -> MonomialMapF
 def monomial_orbit(code: FpCode) -> set[Mat]:
     """The RREF bases of every image of ``code`` under the monomial group.
 
-    A breadth-first search under three generators of the group: the
-    transposition (0 1) and the n-cycle, which generate the permutations,
-    and the scaling of coordinate 0 by a primitive root mod p, whose
-    conjugates under the permutations scale every coordinate by every unit.
-    Each image is row-reduced, so the set holds one basis per subspace, and
-    its size is the group order divided by the order of Aut(code).
+    One orbit-mode search: the serialization of an image is its RREF basis
+    read column by column, so the set holds one basis per subspace, and its
+    size is the group order divided by the order of Aut(code).
     """
-    p, n = code.p, code.n
-    root = next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
-
-    def images(basis: Mat):
-        if n > 1:
-            yield [(row[1], row[0]) + row[2:] for row in basis]
-            yield [row[-1:] + row[:-1] for row in basis]
-        if root != 1:
-            yield [(root * row[0] % p,) + row[1:] for row in basis]
-
-    orbit = {code.basis}
-    frontier = [code.basis]
-    while frontier:
-        found = []
-        for basis in frontier:
-            for rows in images(basis):
-                image = rref(p, rows, n)[0]
-                if image not in orbit:
-                    orbit.add(image)
-                    found.append(image)
-        frontier = found
-    return orbit
+    return _search(code.p, code.n, [code.basis], None, orbit=True)
 
 
 def canonical_form_fp(c: FpCode, max_n: int | None = None) -> tuple[bytes, FpCode]:

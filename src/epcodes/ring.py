@@ -143,16 +143,15 @@ class EpElem:
         m = _TOKEN_RE.match(text.strip())
         if m is None:
             raise ValueError(f"not an element token: {text!r}")
-        if m.group(0).strip() == "0":
+        rc, sc2, sc, tc = m.group("rc", "sc2", "sc", "tc")
+        if tc is not None:
+            c = _coef_val(tc, p)
+            return cls(c, -c % p, p)
+        if sc is not None:
+            return cls(0, _coef_val(sc, p), p)
+        if rc is None:
             return cls.zero(p)
-        if m.group("tc") is not None:
-            return _coef_val(m.group("tc"), p) * cls.t(p)
-        if m.group("sc") is not None:
-            return _coef_val(m.group("sc"), p) * cls.s(p)
-        elem = _coef_val(m.group("rc"), p) * cls.r(p)
-        if m.group("sc2") is not None:
-            elem = elem + _coef_val(m.group("sc2"), p) * cls.s(p)
-        return elem
+        return cls(_coef_val(rc, p), 0 if sc2 is None else _coef_val(sc2, p), p)
 
 
 def _coef(c: int) -> str:

@@ -312,6 +312,18 @@ def test_monomial_orbit_matches_the_brute_force_orbit():
     codes = [c for n in range(1, 6) for c in iter_subspaces(2, n)]
     codes += [c for n in range(1, 5) for c in iter_subspaces(3, n)]
     codes += [_random_fp(rng, 5, n) for n in (1, 2, 3, 3, 4, 4)]
+    # codes with large automorphism groups, whose searches tie deep in the
+    # tree: the tetracode (orbit 8, |Aut| = 48), three disjoint pairs
+    # (orbit 15), the binary even-weight code, the full space, a ternary
+    # code with a repeated and a zero column (orbit 60), and a zero code
+    codes += [
+        FpCode.from_rows(3, [(1, 0, 1, 1), (0, 1, 1, 2)]),
+        FpCode.from_rows(2, [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)]),
+        FpCode.from_rows(2, [tuple(int(j in (i, 5)) for j in range(6)) for i in range(5)]),
+        FpCode.from_rows(2, [tuple(int(j == i) for j in range(6)) for i in range(6)]),
+        FpCode.from_rows(3, [(1, 1, 0, 0, 0), (0, 0, 1, 2, 0)]),
+        FpCode.from_rows(3, [], 5),
+    ]
     for c in codes:
         images = [image for (image,) in brute_monomial_images(c.p, c.n, [c.basis])]
         orbit = monomial_orbit(c)
