@@ -1,35 +1,33 @@
 """Exhaustive classification and reference-table verification.
 
 LCD, left self-dual and self-dual codes are classified by one pipeline,
-driven by a row of :data:`CENSUSES` per kind: for each RREF pivot pattern it
-walks the census's residue subspaces, lifts them to E_p and deduplicates
-through the canonical form, so the output is independent of walk order and of
-the worker count.  The LCD census walks every subspace of the pattern and
-keeps those that pass ``is_lcd``; the left self-dual and self-dual censuses
-walk only the self-orthogonal ones (``fp.iter_self_orthogonal_with_pivots``),
-which prunes a basis row by row, and keep them all.
+driven by a row of :data:`CENSUSES` per kind, in two stages.  The F_p stage
+walks the census's residue subspaces pivot pattern by pivot pattern and
+returns their monomial orbits; the E_p stage lifts one residue per orbit and
+canonicalizes it, so the output is independent of walk order and of the
+worker count.  The LCD census walks every subspace and keeps those that
+pass ``is_lcd``; the left self-dual and self-dual censuses walk only the
+self-orthogonal ones (``fp.iter_self_orthogonal_with_pivots``), which
+prunes a basis row by row, and keep them all.
 
-Each monomial orbit of residues is canonicalized once (orbit-level
-generation after McKay, "Isomorph-free exhaustive generation", 1998): a
-residue that starts a new class adds its whole orbit (``equiv.monomial_orbit``,
-the canonical search without its bound) to the set of bases its shard has met,
-and every later residue of that orbit is skipped before the census predicate is
-asked.  This is exact.  At p = 2 and p = 3, the only moduli classified,
-every monomial scaling is an isometry, so each census predicate
-(``is_lcd``, self-orthogonality) holds on a whole orbit or nowhere on it,
-and each lift (``EpCode.free_code``, s -> (s, s.dual)) commutes with
-monomial maps.  Two residues of one orbit therefore lift to one E_p class,
-with one canonical key and one representative, and skipping all but the
-first loses no class and changes no record.  The orbit sizes of the
-classes, one per key, must sum to the residues walked, which certifies
-that the orbits partition the walk.  An orbit never leaves its dimension,
-so a shard is one dimension and owns its set of met bases; only a census
-with fewer dimensions than workers splits a dimension into slices, which
-may each search a class once.  The algorithms are unbounded in n; the
-``budget`` of each census row is only a guardrail against runs that cannot
-finish at desk scale, and it is the one length gate of its census: the
-``classify_*`` functions, the ternary bound and the default scope of the
-table verifier all read it.
+Each class is canonicalized once (orbit-level generation after McKay,
+"Isomorph-free exhaustive generation", 1998): a residue of an orbit not yet
+met adds the whole orbit (``equiv.monomial_orbit``, the canonical search
+without its bound) to the set of bases its shard has met, and every later
+residue of that orbit is skipped before the census predicate is asked.
+This is exact.  At p = 2 and p = 3, the only moduli classified, every
+monomial scaling is an isometry, so each census predicate (``is_lcd``,
+self-orthogonality) holds on a whole orbit or nowhere on it, and each lift
+(``EpCode.free_code``, s -> (s, s.dual)) commutes with monomial maps.  Two
+residues of one orbit therefore lift to one E_p class, so skipping all but
+one changes no record; :func:`_check_partition` certifies that the orbits
+partition the walk and lift to distinct classes.  An orbit never leaves its
+dimension, so a shard is one dimension; only a census with fewer dimensions
+than workers splits one into slices, which may each mark an orbit.  The
+algorithms are unbounded in n; the ``budget`` of each census row is only a
+guardrail against runs that cannot finish at desk scale, and it is the one
+length gate of its census: the ``classify_*`` functions, the ternary bound
+and the default scope of the table verifier all read it.
 """
 
 from __future__ import annotations
@@ -281,22 +279,18 @@ def _canonical(code: EpCode) -> tuple[bytes, EpCode]:
 # -- the pipeline ----------------------------------------------------------------
 
 
-# each class's representative and orbit size, by canonical key
-_Classes = dict[bytes, tuple[EpCode, int]]
-
-
-def _shard(args: tuple[str, int, int, int, int, int]) -> tuple[_Classes, int]:
-    """Classify the residues of census ``name`` at dimension k, or of slice
-    i of its pivot patterns taken round-robin in ``slices``.  A residue in
-    the orbit of a class the shard already found is skipped; every new class
-    adds its residue's whole orbit to the shard's set of met bases.  Returns
-    each new class's representative and orbit size by key, and the number
-    of residues walked that ``keep`` accepts, met ones included, since
-    ``keep`` holds on a whole orbit."""
+def _shard(args: tuple[str, int, int, int, int, int]) -> tuple[dict[Mat, int], int]:
+    """The F_p stage of census ``name`` at dimension k, or of slice i of its
+    pivot patterns taken round-robin in ``slices``.  A residue in an orbit
+    the shard has met is skipped; any other residue that ``keep`` accepts
+    adds its whole orbit to the shard's set of met bases.  Returns each
+    orbit's size by its least RREF basis, the name every slice that meets
+    the orbit gives it, and the number of residues walked that ``keep``
+    accepts, met ones included, since ``keep`` holds on a whole orbit."""
     name, p, n, k, i, slices = args
     census = CENSUSES[name]
     seen: set[Mat] = set()
-    out: _Classes = {}
+    orbits: dict[Mat, int] = {}
     walked = 0
     for pivots in tuple(iter_pivot_patterns(n, k))[i::slices]:
         for sub in census.walk(p, n, pivots):
@@ -306,28 +300,26 @@ def _shard(args: tuple[str, int, int, int, int, int]) -> tuple[_Classes, int]:
                 walked += 1
                 orbit = monomial_orbit(sub)
                 seen |= orbit
-                key, rep = _canonical(census.lift(sub))
-                out.setdefault(key, (rep, len(orbit)))
-    return out, walked
+                orbits[min(orbit)] = len(orbit)
+    return orbits, walked
 
 
-def _merge(shards: Iterable[tuple[_Classes, int]]) -> tuple[_Classes, int]:
-    merged: _Classes = {}
+def _merge(shards: Iterable[tuple[dict[Mat, int], int]]) -> tuple[dict[Mat, int], int]:
+    orbits: dict[Mat, int] = {}
     walked = 0
-    for out, count in shards:
+    for part, count in shards:
+        orbits |= part
         walked += count
-        for key, entry in out.items():
-            merged.setdefault(key, entry)
-    return merged, walked
+    return orbits, walked
 
 
-def _run_shards(name: str, p: int, n: int, workers: int) -> tuple[_Classes, int]:
+def _run_shards(name: str, p: int, n: int, workers: int) -> tuple[dict[Mat, int], int]:
+    """The residue orbits of a census and the residues walked.  A shard is
+    one dimension, which an orbit never leaves; only a census with fewer
+    dimensions than workers (left self-dual has one) splits them into
+    round-robin slices of their pivot patterns, which may each mark an orbit."""
     # the pool forks every worker at once, so never start more than can run
     workers = min(workers, os.cpu_count() or 1)
-    # An orbit never leaves its dimension, so a shard is one dimension and
-    # searches each class once.  Only a census with fewer dimensions than
-    # workers (left self-dual has one) splits them into round-robin slices of
-    # their pivot patterns, so that every worker gets a share.
     dims = tuple(CENSUSES[name].dims(n))
     slices = -(-workers // len(dims))
     shards = [(name, p, n, k, i, slices) for k in dims for i in range(slices)]
@@ -338,16 +330,20 @@ def _run_shards(name: str, p: int, n: int, workers: int) -> tuple[_Classes, int]
         return _merge(pool.map(_shard, shards))
 
 
-def _check_partition(census: Census, merged: _Classes, walked: int) -> None:
-    """Certify the skipping in :func:`_shard`: the orbits of the classes,
-    one per key, must partition the walked residues, so their sizes sum to
-    the number walked.  A residue walked twice, an orbit short of its
-    class or an orbit holding a residue the walk never emits breaks it."""
-    covered = sum(size for _, size in merged.values())
+def _check_partition(census: Census, orbits: dict[Mat, int], classes: int, walked: int) -> None:
+    """Certify the skipping in :func:`_shard`.  The orbit sizes must sum to
+    the residues walked; a residue walked twice, a short orbit or one holding
+    a residue the walk never emits breaks that.  And distinct orbits must
+    lift to distinct classes."""
+    covered = sum(orbits.values())
     if covered != walked:
         raise RuntimeError(
-            f"the orbits of {len(merged)} {census.noun} classes hold {covered} "
+            f"the orbits of {len(orbits)} {census.noun} classes hold {covered} "
             f"residues, but the walk emitted {walked}"
+        )
+    if classes != len(orbits):
+        raise RuntimeError(
+            f"{len(orbits)} orbits of {census.noun} residues lift to {classes} classes"
         )
 
 
@@ -356,16 +352,21 @@ _cache: dict[tuple[str, int, int], Classification] = {}
 
 def _census(name: str, p: int, n: int, workers: int, force: bool) -> Classification:
     """Every class of one census, sorted by canonical key; built once per
-    (name, p, n), after the request passes the budget."""
+    (name, p, n), after the request passes the budget.  This is the E_p
+    stage: each residue orbit's least basis is lifted and canonicalized, the
+    one canonical search of its class on every path."""
     _check_request(name, p, n, workers, force)
     if (name, p, n) not in _cache:
         census = CENSUSES[name]
-        merged, walked = _run_shards(name, p, n, workers)
-        _check_partition(census, merged, walked)
-        for code, _ in merged.values():
-            if not census.check(code):
-                raise RuntimeError(f"non {census.noun} class emitted: {code}")
-        records = tuple(_validate(_record(merged[key][0], key)) for key in sorted(merged))
+        orbits, walked = _run_shards(name, p, n, workers)
+        classes: dict[bytes, EpCode] = {}
+        for least in orbits:
+            key, rep = _canonical(census.lift(FpCode.from_rows(p, least, n)))
+            if not census.check(rep):
+                raise RuntimeError(f"non {census.noun} class emitted: {rep}")
+            classes[key] = rep
+        _check_partition(census, orbits, len(classes), walked)
+        records = tuple(_validate(_record(classes[key], key)) for key in sorted(classes))
         _cache[(name, p, n)] = Classification(name, p, n, records, len(records))
     return _cache[(name, p, n)]
 
@@ -438,23 +439,6 @@ CLASSIFY_KINDS = {
 # -- right self-dual codes -------------------------------------------------------
 
 
-def _iter_pair_codes(p: int, n: int):
-    """Every E_p code of length n as a (residue, torsion) pair; small n only."""
-    for torsion in iter_subspaces(p, n):
-        if torsion.k == 0:
-            yield EpCode(FpCode.zero(p, n), torsion)
-            continue
-        for coords in iter_subspaces(p, torsion.k):
-            rows = [
-                tuple(
-                    sum(c * torsion.basis[j][col] for j, c in enumerate(row)) % p
-                    for col in range(n)
-                )
-                for row in coords.basis
-            ]
-            yield EpCode(FpCode.from_rows(p, rows, n), torsion)
-
-
 @dataclass(frozen=True)
 class RightSelfDualReport:
     """The unique right self-dual code t*F_p^n and its parameters."""
@@ -476,7 +460,13 @@ def right_self_dual_report(p: int, n: int) -> RightSelfDualReport:
         raise RuntimeError("t*F_p^n failed the right self-dual predicate")
     checked = n <= 2
     if checked:
-        for other in _iter_pair_codes(p, n):
+        # every E_p code of length n, as a pair residue <= torsion
+        for other in (
+            EpCode(r, t)
+            for t in iter_subspaces(p, n)
+            for r in iter_subspaces(p, n)
+            if t.contains_code(r)
+        ):
             if other.is_right_self_dual and other != code:
                 raise RuntimeError(f"unexpected right self-dual code: {other}")
     if (code.mds_status is MdsStatus.AMDS) != (n == 2) or code.mds_status is MdsStatus.MDS:

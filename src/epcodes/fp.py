@@ -255,11 +255,6 @@ class FpCode:
         summed = FpCode.from_rows(self.p, self.dual.basis + other.dual.basis, self.n)
         return summed.dual
 
-    @cached_property
-    def hull_dim(self) -> int:
-        """Dimension of the hull C intersect C^dual."""
-        return self.intersect(self.dual).k
-
     def gram_det(self) -> int:
         """det(G G^T) mod p for the RREF basis G (1 for the zero code)."""
         p, k = self.p, self.k

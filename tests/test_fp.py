@@ -119,7 +119,7 @@ def test_lcd_iff_trivial_hull():
                 span = fp_span(p, c.basis, n)
                 hull = span & brute_fp_dual(p, n, span)
                 assert c.is_lcd == (len(hull) == 1)
-                assert c.hull_dim == 0 or not c.is_lcd
+                assert p ** c.intersect(c.dual).k == len(hull)
                 assert (c.gram_det() != 0) == c.is_lcd
 
 
