@@ -172,7 +172,7 @@ class Classification:
 @dataclass(frozen=True)
 class Census:
     """How one kind of code is classified: for each pivot pattern of dimension
-    in ``dims(n)``, the residues that ``walk(p, n, pivots)`` yields and
+    in ``dims(p, n)``, the residues that ``walk(p, n, pivots)`` yields and
     ``keep`` accepts are lifted by ``lift``, every class found must satisfy
     ``check``, and ``noun`` names the classes in report notes.  The walk,
     ``keep`` and ``lift`` commute with monomial maps, so one canonical search
@@ -180,7 +180,7 @@ class Census:
     met is skipped before ``keep`` is asked.  ``budget`` maps each supported
     p to the largest n classified without force."""
 
-    dims: Callable[[int], Iterable[int]]
+    dims: Callable[[int, int], Iterable[int]]
     walk: Callable[[int, int, Vec], Iterable[FpCode]]
     keep: Callable[[FpCode], bool]
     lift: Callable[[FpCode], EpCode]
@@ -193,15 +193,15 @@ class Census:
 # for the self-dual kinds), one in-process run each with force=True and one
 # worker (2-CPU x86-64, Python 3.11):
 #   lcd             p=2  n=7 1.2 s, n=8 17 s      p=3  n=6 1.8 s, n=7 57 s
-#   left-self-dual  p=2  n=10 0.30 s, n=12 25 s   p=3  n=8 0.18 s, n=10 37 s
+#   left-self-dual  p=2  n=10 0.30 s, n=12 25 s   p=3  n=8 0.18 s, n=10 walks none
 #   self-dual       p=2  n=8 0.19 s, n=10 12 s    p=3  n=6 0.07 s, n=8 3.8 s
 # With one canonical search per class, the time goes to the walk and to
-# marking orbits.  Odd lengths hold no left self-dual code, and at p=3 none
-# of length 6 or 10.
+# marking orbits.  A left self-dual residue exists only for even n at p=2
+# and for n = 0 mod 4 at p=3, where -1 is not a square.
 CENSUSES = {
     # LCD codes are exactly the free lifts r*G of the LCD codes over F_p
     "lcd": Census(
-        dims=lambda n: range(n + 1),
+        dims=lambda p, n: range(n + 1),
         # called through the module name, which perfbench's tracer rebinds
         walk=lambda p, n, pivots: iter_subspaces_with_pivots(p, n, pivots),
         keep=lambda s: s.is_lcd,
@@ -211,9 +211,9 @@ CENSUSES = {
         budget={2: 7, 3: 6},
     ),
     # left self-dual codes are the free lifts of self-dual residue codes, so
-    # only dimension n/2 of an even length contributes
+    # only dimension n/2 of a length that holds one contributes
     "left-self-dual": Census(
-        dims=lambda n: () if n % 2 else (n // 2,),
+        dims=lambda p, n: () if n % (2 if p == 2 else 4) else (n // 2,),
         walk=iter_self_orthogonal_with_pivots,
         keep=lambda s: True,
         lift=EpCode.free_code,
@@ -223,7 +223,7 @@ CENSUSES = {
     ),
     # self-dual codes are the pairs (R, dual(R)) with R self-orthogonal
     "self-dual": Census(
-        dims=lambda n: range(n // 2 + 1),
+        dims=lambda p, n: range(n // 2 + 1),
         walk=iter_self_orthogonal_with_pivots,
         keep=lambda s: True,
         lift=lambda s: EpCode(s, s.dual),
@@ -316,12 +316,12 @@ def _merge(shards: Iterable[tuple[dict[Mat, int], int]]) -> tuple[dict[Mat, int]
 def _run_shards(name: str, p: int, n: int, workers: int) -> tuple[dict[Mat, int], int]:
     """The residue orbits of a census and the residues walked.  A shard is
     one dimension, which an orbit never leaves; only a census with fewer
-    dimensions than workers (left self-dual has one) splits them into
+    dimensions than workers (left self-dual has one or none) splits them into
     round-robin slices of their pivot patterns, which may each mark an orbit."""
     # the pool forks every worker at once, so never start more than can run
     workers = min(workers, os.cpu_count() or 1)
-    dims = tuple(CENSUSES[name].dims(n))
-    slices = -(-workers // len(dims))
+    dims = tuple(CENSUSES[name].dims(p, n))
+    slices = -(-workers // max(len(dims), 1))  # no dimension, no shard
     shards = [(name, p, n, k, i, slices) for k in dims for i in range(slices)]
     workers = min(workers, len(shards))
     if workers <= 1:

@@ -119,27 +119,21 @@ class FpCode:
         validate_modulus(self.p)
         if self.n < 1:
             raise ValueError("length must be positive")
-        if len(self.pivots) != len(self.basis):
-            raise ValueError("pivot list does not match basis")
-        if any(a >= b for a, b in zip(self.pivots, self.pivots[1:])):
-            raise ValueError("pivot columns must be strictly increasing")
-        for i, row in enumerate(self.basis):
-            if len(row) != self.n:
-                raise ValueError("basis row of wrong length")
-            piv = self.pivots[i]
-            if row[piv] != 1 or any(row[j] for j in range(piv)):
-                raise ValueError("basis is not in reduced row echelon form")
-            if any(self.basis[k][piv] for k in range(len(self.basis)) if k != i):
-                raise ValueError("basis is not in reduced row echelon form")
+        # the RREF of a span is unique, so a basis in RREF is its own RREF
+        if rref(self.p, self.basis, self.n) != (self.basis, self.pivots):
+            raise ValueError("basis is not in reduced row echelon form")
 
     @classmethod
     def from_rows(cls, p: int, rows: Sequence[Sequence[int]], n: int | None = None) -> "FpCode":
-        """Build the code spanned by ``rows`` (need not be independent)."""
+        """Build the code spanned by ``rows`` (need not be independent); its
+        basis is :func:`rref`'s own output, so it takes :func:`_unchecked`."""
         if n is None and not list(rows):
             raise ValueError("cannot infer length from an empty generating set")
         basis, pivots = rref(p, rows, n)
-        length = n if n is not None else len(rows[0])
-        return cls(p, length, basis, pivots)
+        n = n if n is not None else len(rows[0])
+        if n < 1:
+            raise ValueError("length must be positive")
+        return _unchecked(p, n, basis, pivots)
 
     @classmethod
     def zero(cls, p: int, n: int) -> "FpCode":
@@ -244,8 +238,6 @@ class FpCode:
             for row, piv in zip(self.basis, self.pivots):
                 v[piv] = (-row[free]) % p
             rows.append(v)
-        if not rows:
-            return FpCode.zero(p, n)
         return FpCode.from_rows(p, rows, n)
 
     def intersect(self, other: "FpCode") -> "FpCode":
@@ -325,10 +317,11 @@ def _pattern_rows(p: int, n: int, pivots: Vec) -> list[list[Vec]]:
     """Every filling of each RREF row of a pivot pattern, in lex order.
 
     Entry (i, j) is free iff j > pivots[i] and j is not itself a pivot
-    column.  The RREF checks of ``FpCode`` read only pivot columns and the
-    entries left of each pivot, never a free entry, so the pattern's
-    template is checked here once and the codes built from these rows skip
-    the checks (:func:`_unchecked`).
+    column, so every filling is in RREF by construction.  Only the pattern's
+    template (the pivots' unit entries, zeros elsewhere) goes through the
+    ``FpCode`` constructor, which rejects a bad modulus or length and pivots
+    out of order; the codes built from these rows take the trusted path
+    :func:`_unchecked`.
     """
     pivot_set = set(pivots)
     template = [[0] * n for _ in pivots]
@@ -348,6 +341,8 @@ def _pattern_rows(p: int, n: int, pivots: Vec) -> list[list[Vec]]:
 
 
 def _unchecked(p: int, n: int, basis: Mat, pivots: Vec) -> FpCode:
+    """The trusted path, for a basis in RREF by construction: the output of
+    :func:`rref` or a filling of a checked pattern (:func:`_pattern_rows`)."""
     code = object.__new__(FpCode)  # the frozen fields, without __post_init__
     code.__dict__.update(p=p, n=n, basis=basis, pivots=pivots)
     return code
@@ -358,7 +353,8 @@ def iter_subspaces_with_pivots(p: int, n: int, pivots: Vec) -> Iterator[FpCode]:
 
     RREF matrices are parameterized exactly by their free entries, so the
     matrices are emitted directly in reduced form, no elimination: one
-    filling of each row (:func:`_pattern_rows`) per subspace.
+    filling of each row (:func:`_pattern_rows`) per subspace, built on the
+    trusted path :func:`_unchecked`.
 
     The LCD census walks this and keeps the codes that pass ``is_lcd``; the
     self-dual censuses walk :func:`iter_self_orthogonal_with_pivots`.
@@ -376,7 +372,8 @@ def iter_self_orthogonal_with_pivots(p: int, n: int, pivots: Vec) -> Iterator[Fp
     isotropic and orthogonal to every row already chosen.  Any subset of the
     rows of a self-orthogonal basis spans a self-orthogonal code, so a
     rejected row ends its branch, and the walk emits exactly the
-    self-orthogonal codes with this pattern, each once.
+    self-orthogonal codes with this pattern, each once, on the trusted path
+    :func:`_unchecked`.
 
     The left-self-dual census walks the patterns of dimension n/2 and the
     self-dual census those of every dimension up to n/2.

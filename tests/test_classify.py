@@ -6,6 +6,7 @@ import pytest
 
 from epcodes import (
     BudgetExceeded,
+    FpCode,
     MdsStatus,
     Verdict,
     canonical_form,
@@ -22,6 +23,7 @@ from epcodes import (
     verify_table,
 )
 from epcodes.classify import CLASSIFY_KINDS
+from epcodes.cli import main
 from epcodes.fp import iter_pivot_patterns
 
 
@@ -200,7 +202,7 @@ def _check_shard_plan(monkeypatch, name, p, n, cpus):
     classify._cache.clear()
     pooled = classify._census(name, p, n, cpus, True)
     assert pooled == serial
-    dims = list(census.dims(n))
+    dims = list(census.dims(p, n))
     slices = 1 if len(dims) >= cpus else -(-cpus // len(dims))
     shard_dims = [shard[3] for shard in mapped]
     assert sorted(shard_dims) == sorted(dims * slices)
@@ -467,3 +469,104 @@ def test_verify_table_rejects_a_scope_below_one(monkeypatch):
             verify_table(10, max_n=max_n)
     assert classify._cache == {}
     assert verify_table(10, max_n=1).confirmed
+
+
+def test_left_self_dual_walks_only_lengths_that_hold_a_self_dual_residue(monkeypatch):
+    # a ternary self-dual code needs n = 0 mod 4, so n = 2 mod 4 plans no shard
+    census = classify.CENSUSES["left-self-dual"]
+    assert [tuple(census.dims(2, n)) for n in range(1, 7)] == [(), (1,), (), (2,), (), (3,)]
+    assert [tuple(census.dims(3, n)) for n in range(1, 9)] == [(), (), (), (2,), (), (), (), (4,)]
+    monkeypatch.setattr(classify, "_cache", {})
+    walked = {n: classify._census("left-self-dual", 3, n, 1, True) for n in (2, 6)}
+    # the old rule walked dimension n/2 at every even length and found nothing
+    old = replace(census, dims=lambda p, n: () if n % 2 else (n // 2,))
+    monkeypatch.setitem(classify.CENSUSES, "left-self-dual", old)
+    classify._cache.clear()
+    for n, result in walked.items():
+        assert classify._census("left-self-dual", 3, n, 1, True) == result
+        assert result.records == ()
+
+    def no_walk(p, n, pivots):
+        raise AssertionError(f"walked p={p} n={n}")
+
+    monkeypatch.setitem(classify.CENSUSES, "left-self-dual", replace(census, walk=no_walk))
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    for p, n in ((2, 5), (3, 6), (3, 10)):
+        for workers in (1, 2):
+            classify._cache.clear()
+            assert classify._census("left-self-dual", p, n, workers, True).records == ()
+
+
+def test_left_self_dual_census_is_the_free_part_of_the_self_dual_census(monkeypatch):
+    # the lift (s, s.dual) of a self-dual residue s is the free code (s, s)
+    monkeypatch.setattr(classify, "_cache", {})
+    for p, lengths in ((2, (2, 4, 6, 8)), (3, (2, 4, 6))):
+        for n in lengths:
+            left = classify._census("left-self-dual", p, n, 1, True)
+            both = classify._census("self-dual", p, n, 1, True)
+            assert left.records == tuple(rec for rec in both.records if rec.free)
+
+
+def test_lcd_census_at_p2_n4_pins_the_benchmark_counts(monkeypatch):
+    # the per-layer invariants of the benchmark's smoke test: every subspace
+    # of F_2^4 walked, and one is_lcd hit and one canonical search per class
+    counts = {"walked": 0, "searches": 0, "hits": 0}
+    walk, search = classify.iter_subspaces_with_pivots, classify.canonical_form_free
+    is_lcd = FpCode.is_lcd.fget
+
+    def counting_walk(p, n, pivots):
+        for code in walk(p, n, pivots):
+            counts["walked"] += 1
+            yield code
+
+    def counting_search(*args):
+        counts["searches"] += 1
+        return search(*args)
+
+    def counting_is_lcd(code):
+        hit = is_lcd(code)
+        counts["hits"] += hit
+        return hit
+
+    monkeypatch.setattr(classify, "iter_subspaces_with_pivots", counting_walk)
+    monkeypatch.setattr(classify, "canonical_form_free", counting_search)
+    monkeypatch.setattr(FpCode, "is_lcd", property(counting_is_lcd))
+    monkeypatch.setattr(classify, "_cache", {})
+    result = classify._census("lcd", 2, 4, 1, True)
+    # 1 + 15 + 35 + 15 + 1 subspaces of F_2^4, of which 10 classes are LCD
+    assert counts == {"walked": 67, "searches": 10, "hits": 10}
+    assert result.total == 10
+
+
+def test_verify_reports_a_census_that_misses_a_printed_class(monkeypatch, capsys):
+    real = classify.CLASSIFY_KINDS["self-dual"]
+
+    def short(p, n, **kwargs):
+        full = real(p, n, **kwargs)
+        return replace(full, records=full.records[:-1]) if n == 2 else full
+
+    monkeypatch.setitem(classify.CLASSIFY_KINDS, "self-dual", short)
+    report = verify_table(9, max_n=4)
+    assert not report.confirmed and not report.acceptable
+    flagged = [v for v in report.verdicts if v.verdict is Verdict.DISCREPANCY]
+    assert [(v.label, v.known) for v in flagged] == [("n=2 census", False)]
+    assert flagged[0].detail == "1 printed classes unmatched, 0 classes absent from print"
+    assert main(["verify-tables", "--table", "9", "--max-n", "4"]) == 1
+    assert "1 printed classes unmatched" in capsys.readouterr().out
+
+
+def test_verify_reports_printed_rows_that_are_equivalent(monkeypatch):
+    table = load_table(9)
+    first = table.block(2)[0]
+    twin = replace(first, index=len(table.block(2)) + 1)
+    doubled = replace(table, rows=table.rows + (twin,))
+    monkeypatch.setattr(classify, "load_table", lambda table_id: doubled)
+    report = verify_table(9, max_n=4)
+    assert not report.confirmed and not report.acceptable
+    flagged = [v for v in report.verdicts if v.verdict is Verdict.DISCREPANCY]
+    assert [(v.label, v.known) for v in flagged] == [("n=2 inequivalence", False)]
+    assert flagged[0].detail == f"{first.label} and {twin.label} are monomially equivalent"
+    # the census still matches, since the twin adds no class
+    (census,) = [v for v in report.verdicts if v.label == "n=2 census"]
+    assert census.verdict is Verdict.CONFIRMED

@@ -296,3 +296,10 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "lcd", "--p", "2"])
     assert exc.value.code == 2
+
+
+def test_analyze_without_a_header_exits_3(tmp_path, capsys):
+    for text in ("", "# a comment only\n"):
+        path = _write(tmp_path, "h.txt", text)
+        code, out, err = _run(capsys, "analyze", path)
+        assert code == 3 and out == "" and "missing header" in err

@@ -256,3 +256,32 @@ def test_free_code_and_pair_validation():
     with pytest.raises(ValueError):
         # residue must sit inside the torsion code
         EpCode(FpCode.from_rows(2, [(1, 1)]), FpCode.zero(2, 2))
+
+
+def test_pairs_and_generators_reject_mismatched_input():
+    # a residue outside the torsion, and codes in different spaces
+    with pytest.raises(ValueError, match="contained in the torsion"):
+        EpCode(FpCode.full(2, 2), FpCode.from_rows(2, [(1, 0)], 2))
+    for other in (FpCode.zero(2, 3), FpCode.zero(3, 2)):
+        with pytest.raises(ValueError, match="different spaces"):
+            EpCode(FpCode.zero(2, 2), other)
+    r2, r3 = EpElem.from_token("r", 2), EpElem.from_token("r", 3)
+    with pytest.raises(ValueError, match="length must be positive"):
+        EpCode.from_generators([], 2, 0)
+    with pytest.raises(ValueError, match="generator of length 1, expected 2"):
+        EpCode.from_generators([(r2,)], 2, 2)
+    with pytest.raises(ValueError, match="wrong ring"):
+        EpCode.from_generators([(r2, r3)], 2, 2)
+    with pytest.raises(ValueError, match="ragged"):
+        EpGenMatrix(2, 2, ((r2, r2), (r2,)))
+    with pytest.raises(ValueError, match="wrong ring"):
+        EpGenMatrix(2, 2, ((r2, r3),))
+    with pytest.raises(ValueError, match="empty matrix"):
+        EpGenMatrix.from_token_rows(2, [])
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# a comment only\n  # and another\n"])
+def test_parse_without_a_header_is_a_syntax_error(text):
+    with pytest.raises(ParseError, match="missing header") as err:
+        EpGenMatrix.parse(text)
+    assert err.value.kind == "syntax" and err.value.line is None

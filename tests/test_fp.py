@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from epcodes import FpCode, MdsStatus, gaussian_binomial, iter_subspaces, rref
+from epcodes import FpCode, MdsStatus, fp, gaussian_binomial, iter_subspaces, rref
 from epcodes.fp import (
     iter_pivot_patterns,
     iter_self_orthogonal_with_pivots,
@@ -239,3 +239,42 @@ def test_length_must_be_positive():
 def test_unsupported_modulus_rejected():
     with pytest.raises(ValueError):
         FpCode.from_rows(4, [(1, 0)], 2)
+
+
+@pytest.mark.parametrize(
+    "p, n, basis, pivots",
+    [
+        (2, 2, ((1, 5),), (0,)),  # an entry not reduced mod p
+        (3, 2, ((1, -1),), (0,)),  # a negative entry
+        (2, 2, ((1, 1),), (1,)),  # the wrong pivot column
+        (2, 2, ((1, 1), (0,)), (0, 1)),  # a ragged row
+        (2, 3, ((0, 1, 0), (1, 0, 0)), (1, 0)),  # rows out of order
+        (2, 2, ((1, 1), (0, 1)), (0, 1)),  # an entry above a pivot
+        (4, 2, ((1, 0),), (0,)),  # no field
+        (2, 0, (), ()),  # no length
+    ],
+)
+def test_constructor_rejects_a_basis_that_is_not_its_own_rref(p, n, basis, pivots):
+    with pytest.raises(ValueError):
+        FpCode(p, n, basis, pivots)
+
+
+def test_from_rows_row_reduces_once_and_skips_the_check(monkeypatch):
+    # the basis of from_rows is rref's own output, so re-checking it is waste
+    calls = []
+    real = fp.rref
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def refuse(self):
+        raise AssertionError("from_rows re-checked its basis")
+
+    monkeypatch.setattr(fp, "rref", counting)
+    monkeypatch.setattr(FpCode, "__post_init__", refuse)
+    code = FpCode.from_rows(3, [(1, 2, 0), (2, 1, 0), (0, 0, 4)], 3)
+    assert len(calls) == 1 and code.basis == ((1, 2, 0), (0, 0, 1))
+    assert FpCode.from_rows(2, [(1, 5)], 2).basis == ((1, 1),)
+    with pytest.raises(ValueError, match="length must be positive"):
+        FpCode.from_rows(2, [], -1)
