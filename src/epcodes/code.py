@@ -74,30 +74,9 @@ class EpCode:
 
     @classmethod
     def from_generators(cls, rows: Sequence[Sequence[EpElem]], p: int, n: int) -> "EpCode":
-        """Smallest submodule of E_p^n containing the given vectors.
-
-        Decomposing each generator as ra + tb, the closure has residue
-        span{a} and torsion span{a} + span{b}: left-multiplying by r and
-        t projects a generator onto ra and ta respectively, so both the
-        a-parts and b-parts land in the torsion.
-        """
-        validate_modulus(p)
-        if n < 1:
-            raise ValueError("length must be positive")
-        a_rows: list[Vec] = []
-        b_rows: list[Vec] = []
-        for row in rows:
-            if len(row) != n:
-                raise ValueError(f"generator of length {len(row)}, expected {n}")
-            for e in row:
-                if e.p != p:
-                    raise ValueError("generator entry over the wrong ring")
-            a, b = decompose(row)
-            a_rows.append(a)
-            b_rows.append(b)
-        residue = FpCode.from_rows(p, a_rows, n)
-        torsion = FpCode.from_rows(p, a_rows + b_rows, n)
-        return cls(residue, torsion)
+        """Smallest submodule of E_p^n containing the given vectors
+        (:meth:`EpGenMatrix.code`)."""
+        return EpGenMatrix(p, n, tuple(tuple(r) for r in rows)).code()
 
     @classmethod
     def free_code(cls, residue: FpCode) -> "EpCode":
@@ -268,9 +247,13 @@ class EpGenMatrix:
 
     def __post_init__(self) -> None:
         validate_modulus(self.p)
+        if self.n < 1:
+            raise ValueError("length must be positive")
         for row in self.rows:
             if len(row) != self.n:
-                raise ValueError("ragged generator matrix")
+                raise ValueError(
+                    f"ragged generator matrix: generator of length {len(row)}, expected {self.n}"
+                )
             for e in row:
                 if e.p != self.p:
                     raise ValueError("entry over the wrong ring")
@@ -333,4 +316,17 @@ class EpGenMatrix:
         return [" ".join(e.token for e in row) for row in self.rows]
 
     def code(self) -> EpCode:
-        return EpCode.from_generators(self.rows, self.p, self.n)
+        """Smallest submodule of E_p^n containing the rows.
+
+        Decomposing each generator as ra + tb, the closure has residue
+        span{a} and torsion span{a} + span{b}: left-multiplying by r and
+        t projects a generator onto ra and ta respectively, so both the
+        a-parts and b-parts land in the torsion.
+        """
+        a_rows, b_rows = [], []
+        for row in self.rows:
+            a, b = decompose(row)
+            a_rows.append(a)
+            b_rows.append(b)
+        residue = FpCode.from_rows(self.p, a_rows, self.n)
+        return EpCode(residue, FpCode.from_rows(self.p, a_rows + b_rows, self.n))

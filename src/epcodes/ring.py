@@ -9,23 +9,18 @@ Multiplication collapses to x * y = alpha(y) x, so right multiplication
 by t kills everything while left multiplication by r fixes r-multiples.
 
 Elements render to and parse from short tokens: ``0``, ``[c]r``,
-``[c]s``, ``[c]t`` and ``[c]r+[d]s`` with coefficients in 1..p-1 (a
-coefficient of 1 is omitted).  Pure multiples of t prefer the t form.
+``[c]s``, ``[c]t`` and ``[c]r+[d]s`` with coefficients in 1..p-1.
+Rendering omits a coefficient of 1 and writes pure multiples of t in the
+t form.  Parsing also accepts an explicit ``1`` and the ``r+s`` spelling
+of a multiple of t (``r+2s`` is t at p=3).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fp import validate_modulus
-
-_TOKEN_RE = re.compile(
-    r"^(?:0"
-    r"|(?P<rc>\d*)r(?:\+(?P<sc2>\d*)s)?"
-    r"|(?P<sc>\d*)s"
-    r"|(?P<tc>\d*)t)$"
-)
 
 
 @dataclass(frozen=True)
@@ -139,31 +134,30 @@ class EpElem:
     @classmethod
     def from_token(cls, text: str, p: int) -> "EpElem":
         """Parse one grammar token; raises ValueError on bad input."""
-        validate_modulus(p)
-        m = _TOKEN_RE.match(text.strip())
-        if m is None:
-            raise ValueError(f"not an element token: {text!r}")
-        rc, sc2, sc, tc = m.group("rc", "sc2", "sc", "tc")
-        if tc is not None:
-            c = _coef_val(tc, p)
-            return cls(c, -c % p, p)
-        if sc is not None:
-            return cls(0, _coef_val(sc, p), p)
-        if rc is None:
-            return cls.zero(p)
-        return cls(_coef_val(rc, p), 0 if sc2 is None else _coef_val(sc2, p), p)
+        elem = _token_table(p).get(text.strip())
+        if elem is None:
+            raise ValueError(f"not an element token for p={p}: {text!r}")
+        return elem
 
 
 def _coef(c: int) -> str:
     return "" if c == 1 else str(c)
 
 
-def _coef_val(text: str, p: int) -> int:
-    if text == "":
-        return 1
-    if text.startswith("0") or not (1 <= int(text) < p):
-        raise ValueError(f"coefficient {text!r} out of range for p={p}")
-    return int(text)
+@lru_cache(maxsize=None)
+def _token_table(p: int) -> dict[str, EpElem]:
+    """Every token the grammar accepts at p, mapped to its element."""
+    validate_modulus(p)
+    # each coefficient c in 1..p-1 is written as its digits, or left empty if 1
+    coefs = [(str(c), c) for c in range(1, p)] + [("", 1)]
+    table = {"0": EpElem.zero(p)}
+    for text, c in coefs:
+        table[f"{text}r"] = EpElem(c, 0, p)
+        table[f"{text}s"] = EpElem(0, c, p)
+        table[f"{text}t"] = EpElem(c, -c % p, p)
+        for text2, d in coefs:
+            table[f"{text}r+{text2}s"] = EpElem(c, d, p)
+    return table
 
 
 def elements(p: int) -> list[EpElem]:

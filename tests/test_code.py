@@ -280,6 +280,14 @@ def test_pairs_and_generators_reject_mismatched_input():
         EpGenMatrix.from_token_rows(2, [])
 
 
+def test_generator_matrix_of_length_zero_is_rejected():
+    # its own text "p=2 n=0" is rejected by parse, so it must not be built
+    with pytest.raises(ValueError, match="length must be positive"):
+        EpGenMatrix(2, 0, ())
+    with pytest.raises(ValueError, match="length must be positive"):
+        EpGenMatrix.from_token_rows(2, [""])
+
+
 @pytest.mark.parametrize("text", ["", "\n\n", "# a comment only\n  # and another\n"])
 def test_parse_without_a_header_is_a_syntax_error(text):
     with pytest.raises(ParseError, match="missing header") as err:

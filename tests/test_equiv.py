@@ -265,6 +265,35 @@ def test_unequal_profiles_are_inequivalent_without_a_search(monkeypatch):
         equivalent_ep(c, c)
 
 
+def test_equal_profiles_can_still_be_inequivalent(monkeypatch):
+    # at p=5 n=6 these profiles agree as multisets, so only the witness
+    # search can tell the codes apart, and it must come back empty
+    a = FpCode.from_rows(5, [(1, 0, 0, 3, 0, 1), (0, 1, 0, 1, 4, 2), (0, 0, 1, 0, 2, 4)])
+    b = FpCode.from_rows(5, [(1, 0, 0, 2, 3, 2), (0, 1, 0, 3, 0, 4), (0, 0, 1, 2, 4, 1)])
+    assert sorted(_profile([a])) == sorted(_profile([b]))
+    assert a.weight_enumerator == b.weight_enumerator == (1, 0, 0, 12, 24, 60, 28)
+    assert canonical_key_fp(a, 6) != canonical_key_fp(b, 6)
+
+    results = []
+    search = equiv._search
+
+    def spy(*args, **kwargs):
+        results.append(search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(equiv, "_search", spy)
+    zero = FpCode.zero(5, 6)
+    pairs = [
+        (equivalent_fp, a, b),
+        (equivalent_ep, EpCode.free_code(a), EpCode.free_code(b)),
+        (equivalent_ep, EpCode(zero, a), EpCode(zero, b)),
+    ]
+    for decide, x, y in pairs:
+        results.clear()
+        assert decide(x, y, max_n=6) is None
+        assert results == [None]
+
+
 def test_canonical_form_fp_is_invariant_and_canonical():
     rng = random.Random(48)
     for _ in range(50):

@@ -107,7 +107,7 @@ def test_min_distance_is_the_least_nonzero_weight():
 
 def test_zero_code_has_no_distance():
     z = FpCode.zero(3, 4)
-    assert z.k == 0 and z.is_zero
+    assert z.k == 0 and z.is_zero()
     assert z.min_distance is None
     assert z.mds_status is MdsStatus.NEITHER
 

@@ -133,6 +133,37 @@ def test_token_examples():
     assert (EpElem.r(5) + 2 * EpElem.s(5)).token == "r+2s"
 
 
+def _spellings(p):
+    """Every token the grammar accepts at p, with its (i, j): each
+    coefficient c in 1..p-1 is written as its digits, or left empty if 1."""
+    coefs = [(str(c), c) for c in range(1, p)] + [("", 1)]
+    out = {"0": (0, 0)}
+    for text, c in coefs:
+        out[f"{text}r"] = (c, 0)
+        out[f"{text}s"] = (0, c)
+        out[f"{text}t"] = (c, -c % p)
+        for text2, d in coefs:
+            out[f"{text}r+{text2}s"] = (c, d)
+    return out
+
+
+def test_token_language_is_exactly_the_listed_spellings():
+    for p in (2, 3, 5, 7):
+        spellings = _spellings(p)
+        assert len(spellings) == 1 + 3 * p + p * p
+        for text, (i, j) in spellings.items():
+            assert EpElem.from_token(text, p) == EpElem(i, j, p), (p, text)
+    assert len(_spellings(2)) == 11 and len(_spellings(3)) == 19
+    assert EpElem.from_token(" r ", 3) == EpElem.r(3)
+    for bad, p in (("01r", 3), ("0t", 3), ("r+0s", 3), ("r + s", 3), ("rr", 3)):
+        with pytest.raises(ValueError):
+            EpElem.from_token(bad, p)
+    # an out-of-range coefficient is reported against its modulus
+    for bad, p in (("3r", 3), ("13r", 13)):
+        with pytest.raises(ValueError, match=f"p={p}"):
+            EpElem.from_token(bad, p)
+
+
 def test_token_rejects_junk():
     for bad in ("q", "3r", "rr", "r+", "", "r + s", "0r"):
         with pytest.raises(ValueError):
