@@ -68,8 +68,9 @@ class BudgetExceeded(RuntimeError):
 # cost of one canonical search on outside input.  On seeded random binary
 # codes of random dimension, canonical_form_fp took a median of 18 ms (max
 # 0.83 s) at n = 10 and 178 ms (max 12 s) at n = 11; the witness search
-# equivalent_fp, which the same budget gates, took a median of 0.4 ms (max
-# 25 ms) at n = 12 (2-CPU x86-64, Python 3.11, untraced).
+# equivalent_fp, which the same budget gates, took a median of 0.2-0.4 ms
+# (max 5-19 ms) at n = 12 on each of three seeds of 80 pairs, half of them
+# equivalent (2-CPU x86-64, Python 3.11, untraced).
 CANON_BUDGET = {2: 10, 3: 6}
 _CANON_BUDGET_OTHER = 5
 

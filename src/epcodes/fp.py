@@ -6,15 +6,17 @@ anywhere.  An :class:`FpCode` stores the unique reduced row echelon basis
 of its row space, so two codes are equal iff they are the same subspace.
 
 Supported moduli are the primes up to 13.  Weights are counted once, by
-:meth:`FpCode.weight_profile`, on supports packed into ints: spanned by XOR
-at p=2, by plain tuple arithmetic otherwise, which is fast enough at the
-lengths this package classifies (n <= 13).
+:meth:`FpCode.weight_profile`, on words packed into ints with one field per
+coordinate: spanned by XOR at p=2 and by packed addition with a per-field
+reduction mod p otherwise, so no codeword is built as a tuple.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
@@ -23,6 +25,10 @@ Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# (item size in bytes, array typecode), narrowest first: the count fields of
+# FpCode.weight_profile
+_COUNT_ITEMS = sorted({array(t).itemsize: t for t in "QLIHB"}.items())
 
 
 def validate_modulus(p: int) -> None:
@@ -185,29 +191,52 @@ class FpCode:
         that are nonzero at j.  Summed over j, the tuples give w * A_w for
         each weight w.
 
-        Each codeword's support is packed as an int with one field per
-        coordinate, wide enough for any count; summing the words of one weight
-        adds up all n counts at once.  At p=2 packing commutes with addition
-        of words, so the packed rows span the packed words by XOR.
+        Every word lives in one int with one byte-aligned field per
+        coordinate, of the narrowest array item size that holds p^k.  A
+        support has a 1 in each field where the word is nonzero, so the sum
+        of the supports of one weight is that weight's n counts at once, and
+        no count overflows: it is below p^k.  At p=2 a word is its support
+        and the packed rows span the words by XOR.  At odd p a field holds a
+        value v < p in its low f = p.bit_length() + 1 bits, and the words are
+        spanned by adding the p - 1 packed multiples of each row.  A sum s <
+        2p is reduced mod p by adding 2^(f-1) - p to every field, which sets
+        the flag bit f - 1 exactly where s >= p, and subtracting p there;
+        adding 2^(f-1) - 1 instead flags exactly the nonzero values, which
+        is the support.  Neither carries out of a field, because s + 2^(f-1)
+        - p <= p - 2 + 2^(f-1) < 2^f, and f <= 5 bits fit the narrowest field.
         """
-        n = self.n
-        width = (self.p**self.k).bit_length()
-        unit = [1 << (j * width) for j in range(n)]
-        if self.p == 2:
+        p, n = self.p, self.n
+        fits = [item for item in _COUNT_ITEMS if p**self.k < 1 << 8 * item[0]]
+        if not fits:
+            raise ValueError(f"too many codewords to count: {p}^{self.k}")
+        size, typecode = fits[0]
+        units = [1 << (8 * size * j) for j in range(n)]
+        if p == 2:
+            supports = [0]
+            for row in self.basis:
+                packed = sum(u for u, v in zip(units, row) if v)
+                supports += [s ^ packed for s in supports]
+        else:
+            top = p.bit_length()  # the flag bit, f - 1
+            ones = sum(units)
+            flags, wrap, nonzero = ones << top, ((1 << top) - p) * ones, ((1 << top) - 1) * ones
             words = [0]
             for row in self.basis:
-                bits = sum(u for u, v in zip(unit, row) if v)
-                words += [w ^ bits for w in words]
-        else:
-            words = [sum(u for u, v in zip(unit, word) if v) for word in self.codewords()]
-        words.sort(key=int.bit_count)
-        counts = [[0] * (n + 1) for _ in range(n)]
-        field = (1 << width) - 1
-        for wt, group in itertools.groupby(words, int.bit_count):
-            total = sum(group)
-            for j in range(n):
-                counts[j][wt] = (total >> (j * width)) & field
-        return tuple(tuple(row) for row in counts)
+                multiples = [sum(c * v % p * u for u, v in zip(units, row)) for c in range(1, p)]
+                words += [
+                    (t := w + m) - (((t + wrap) & flags) >> top) * p
+                    for m in multiples
+                    for w in words
+                ]
+            supports = [((w + nonzero) & flags) >> top for w in words]
+        totals = [0] * (n + 1)
+        for s in supports:
+            totals[s.bit_count()] += s
+        counts = [array(typecode, total.to_bytes(n * size, "little")) for total in totals]
+        if sys.byteorder == "big":
+            for column in counts:
+                column.byteswap()
+        return tuple(zip(*counts))
 
     @cached_property
     def weight_enumerator(self) -> Vec:

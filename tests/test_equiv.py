@@ -25,6 +25,7 @@ from epcodes import (
 )
 from epcodes import equiv
 from epcodes.equiv import _profile, monomial_orbit
+from epcodes.fp import SUPPORTED_PRIMES
 from oracles import brute_canonical_key, brute_monomial_images
 from test_code import B_CODE, C_CODE, _pairs, _words
 
@@ -224,9 +225,8 @@ def test_equivalent_ep_matches_brute_force_among_nonfree_codes():
 
 def test_profile_counts_codewords_and_follows_the_coordinates():
     rng = random.Random(50)
-    for _ in range(60):
-        p = rng.choice((2, 3))
-        n = rng.randint(1, 7 if p == 2 else 5)
+    for p, _ in product(SUPPORTED_PRIMES, range(12)):
+        n = rng.randint(1, {2: 7, 3: 5}.get(p, 3))
         codes = [_random_fp(rng, p, n) for _ in range(rng.randint(1, 2))]
         before = _profile(codes)
         for s in range(n):

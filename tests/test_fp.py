@@ -83,7 +83,7 @@ def test_weight_enumerator_counts_directly():
         for _ in range(25):
             n = rng.randint(1, 5)
             codes.append(FpCode.from_rows(p, _random_rows(rng, p, n, rng.randint(0, n)), n))
-    # the zero codes, and F_2^10 with the widest packed fields of any test
+    # the zero codes, and F_2^10, whose 2^10 words need 2-byte packed fields
     codes += [FpCode.zero(p, 4) for p in (2, 3, 5)] + [FpCode.full(2, 10)]
     for c in codes:
         direct = [0] * (c.n + 1)
@@ -91,6 +91,40 @@ def test_weight_enumerator_counts_directly():
             direct[sum(1 for x in w if x)] += 1
         assert list(c.weight_enumerator) == direct
     assert FpCode.full(2, 10).weight_enumerator == tuple(math.comb(10, w) for w in range(11))
+
+
+def test_weight_profile_of_full_and_zero_codes_is_closed_form():
+    # p^k on both sides of the 8-bit and 16-bit limits of the count fields
+    for p, n in ((2, 7), (2, 8), (2, 16), (3, 6), (13, 3)):
+        profile = FpCode.full(p, n).weight_profile()
+        column = (0,) + tuple(math.comb(n - 1, w - 1) * (p - 1) ** w for w in range(1, n + 1))
+        assert profile == (column,) * n
+    for p in fp.SUPPORTED_PRIMES:
+        assert FpCode.zero(p, 3).weight_profile() == ((0,) * 4,) * 3
+    # 2^64 words: no count field is wide enough, and no enumeration starts
+    with pytest.raises(ValueError, match="too many codewords"):
+        FpCode.full(2, 64).weight_profile()
+
+
+def test_weight_profile_builds_no_codeword_tuples(monkeypatch):
+    rng = random.Random(17)
+    codes = [FpCode.from_rows(p, _random_rows(rng, p, 4, 3), 4) for p in (3, 5, 13)]
+    spans = [fp_span(c.p, c.basis, c.n) for c in codes]
+
+    def no_codewords(self):
+        raise AssertionError("codewords() was called")
+
+    monkeypatch.setattr(FpCode, "codewords", no_codewords)
+    for c, span in zip(codes, spans):
+        direct = [[0] * (c.n + 1) for _ in range(c.n)]
+        enumerator = [0] * (c.n + 1)
+        for word in span:
+            wt = sum(1 for v in word if v)
+            enumerator[wt] += 1
+            for j, v in enumerate(word):
+                direct[j][wt] += v != 0
+        assert c.weight_profile() == tuple(map(tuple, direct))
+        assert c.weight_enumerator == tuple(enumerator)
 
 
 def test_min_distance_is_the_least_nonzero_weight():
