@@ -42,7 +42,8 @@ from typing import Callable, Iterable
 
 from .code import EpCode, EpGenMatrix
 from .equiv import (
-    BudgetExceeded,
+    _check_max_n,
+    _gate,
     canonical_form,
     canonical_form_free,
     monomial_orbit,
@@ -148,6 +149,8 @@ class Classification:
     n: int
     records: tuple[ClassRecord, ...]
     seen_total: int
+    """The class count of the full census, not of residues seen: an MDS/AMDS
+    view counts the census it filters, odd-length left self-dual reports 0."""
     note: str = ""
 
     @property
@@ -191,10 +194,10 @@ class Census:
 
 # The cost of each census at its budget and past it (the next even length
 # for the self-dual kinds), one in-process run each with force=True and one
-# worker (2-CPU x86-64, Python 3.11):
-#   lcd             p=2  n=7 1.2 s, n=8 17 s      p=3  n=6 1.8 s, n=7 57 s
-#   left-self-dual  p=2  n=10 0.30 s, n=12 25 s   p=3  n=8 0.18 s, n=10 walks none
-#   self-dual       p=2  n=8 0.19 s, n=10 12 s    p=3  n=6 0.07 s, n=8 3.8 s
+# worker, all on one 2-CPU x86-64 Intel Xeon machine (Python 3.11.7):
+#   lcd             p=2  n=7 0.83 s, n=8 12 s     p=3  n=6 1.1 s, n=7 44 s
+#   left-self-dual  p=2  n=10 0.28 s, n=12 17 s   p=3  n=8 0.11 s, n=10 walks none
+#   self-dual       p=2  n=8 0.14 s, n=10 6.6 s   p=3  n=6 0.03 s, n=8 2.2 s
 # With one canonical search per class, the time goes to the walk and to
 # marking orbits.  A left self-dual residue exists only for even n at p=2
 # and for n = 0 mod 4 at p=3, where -1 is not a square.
@@ -255,11 +258,8 @@ def _check_request(kind: str, p: int, n: int, workers: int = 1, force: bool = Fa
     limit = classify_budget(kind, p)
     if n < 1:
         raise ValueError(f"length must be positive, got {n!r}")
-    if not force and n > limit:
-        raise BudgetExceeded(
-            f"classification refused at n={n} for p={p}; largest feasible n is {limit}",
-            largest_feasible=limit,
-        )
+    if not force:
+        _gate("classification", p, n, limit)
 
 
 def _canonical(code: EpCode) -> tuple[bytes, EpCode]:
@@ -573,17 +573,12 @@ def _verify_counts(table: CountTable, limit: int, workers: int) -> TableReport:
         cls_ = classify_lcd(table.p, n, workers=workers, force=True)
         if table.kind == "lcd-totals":
             want, got = table.total(n), cls_.total
-            ok = want == got
-            detail = f"recomputed {got}, printed {want}"
         else:
             want = table.by_distance(n)
             counts = cls_.distance_counts()
             got = tuple(counts.get(d, 0) for d in range(1, n + 1))
-            ok = want == got
-            detail = f"recomputed {got}, printed {want}"
-        verdicts.append(
-            RowVerdict(f"n={n}", Verdict.CONFIRMED if ok else Verdict.DISCREPANCY, detail=detail)
-        )
+        verdict = Verdict.CONFIRMED if want == got else Verdict.DISCREPANCY
+        verdicts.append(RowVerdict(f"n={n}", verdict, detail=f"recomputed {got}, printed {want}"))
     return TableReport(table.table_id, tuple(verdicts), notes)
 
 
@@ -704,8 +699,7 @@ def verify_table(table_id: int, max_n: int | None = None, workers: int = 1) -> T
     disagree.
     """
     validate_workers(workers)
-    if max_n is not None and max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n!r}")
+    _check_max_n(max_n)
     table = load_table(table_id)
     kind = _TABLE_KINDS[table.kind][1]
     limit = min(classify_budget(kind, table.p), table.last_n) if max_n is None else max_n

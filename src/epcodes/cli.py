@@ -17,7 +17,8 @@ an error to its code:
      fewer than one worker, a verify-tables or equiv --max-n below 1), or
      an unreadable input or unwritable --out path
   5  refused: classify past its census budget without --force, or equiv
-     past the canonical budget (CANON_BUDGET) without --max-n;
+     past the CANON_BUDGET numbers, under which it runs the witness
+     search, without --max-n (the refusal names the equivalence search);
      verify-tables never refuses, since its --max-n lifts the budget
   6  ragged generator matrix (wrong number of entries in a row)
   70 internal fault: any other exception, with its traceback on stderr
@@ -329,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("second", help="matrix file")
     p_eq.add_argument(
         "--max-n", type=int, default=None, metavar="N",
-        help="lift the canonical budget (CANON_BUDGET) to length N",
+        help="lift the budget of the witness search (the CANON_BUDGET numbers) "
+        "to length N",
     )
     _add_common(p_eq)
     p_eq.set_defaults(func=cmd_equiv)

@@ -307,10 +307,7 @@ class EpGenMatrix:
         return cls(header[0], header[1], tuple(rows))
 
     def to_text(self) -> str:
-        lines = [f"p={self.p} n={self.n}"]
-        for row in self.rows:
-            lines.append(" ".join(e.token for e in row))
-        return "\n".join(lines) + "\n"
+        return "\n".join([f"p={self.p} n={self.n}", *self.token_rows()]) + "\n"
 
     def token_rows(self) -> list[str]:
         return [" ".join(e.token for e in row) for row in self.rows]

@@ -64,30 +64,35 @@ class BudgetExceeded(RuntimeError):
         self.largest_feasible = largest_feasible
 
 
-# Largest length canonicalized without an explicit override, a guard on the
-# cost of one canonical search on outside input.  On seeded random binary
-# codes of random dimension, canonical_form_fp took a median of 18 ms (max
-# 0.83 s) at n = 10 and 178 ms (max 12 s) at n = 11; the witness search
-# equivalent_fp, which the same budget gates, took a median of 0.2-0.4 ms
-# (max 5-19 ms) at n = 12 on each of three seeds of 80 pairs, half of them
-# equivalent (2-CPU x86-64, Python 3.11, untraced).
+# Largest length searched without an explicit override (5 for p above 3), a
+# guard on the cost of one canonical search on outside input.  On seeded
+# random binary codes of random dimension, canonical_form_fp took a median of
+# 18 ms (max 0.83 s) at n = 10 and 178 ms (max 12 s) at n = 11; the witness
+# search equivalent_fp, which the same numbers gate, took a median of
+# 0.2-0.4 ms (max 5-19 ms) at n = 12 on each of three seeds of 80 pairs, half
+# of them equivalent (2-CPU x86-64, Python 3.11, untraced).
 CANON_BUDGET = {2: 10, 3: 6}
-_CANON_BUDGET_OTHER = 5
 
 
-def canon_budget(p: int) -> int:
-    return CANON_BUDGET.get(p, _CANON_BUDGET_OTHER)
-
-
-def _check_budget(p: int, n: int, max_n: int | None) -> None:
-    if max_n is not None and max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n!r}")
-    limit = canon_budget(p) if max_n is None else max_n
+def _gate(what: str, p: int, n: int, limit: int) -> None:
+    """The one length gate: refuses ``what`` when n exceeds ``limit``."""
     if n > limit:
         raise BudgetExceeded(
-            f"canonicalization refused at n={n} for p={p}; largest feasible n is {limit}",
+            f"{what} refused at n={n} for p={p}; largest feasible n is {limit}",
             largest_feasible=limit,
         )
+
+
+def _check_max_n(max_n: int | None) -> None:
+    """A cap below 1 is a bad parameter, not a refusal at "largest n is 0"."""
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n!r}")
+
+
+def _gate_search(what: str, p: int, n: int, max_n: int | None) -> None:
+    """Gates one search at ``max_n``, or if None at ``CANON_BUDGET`` (5 above p = 3)."""
+    _check_max_n(max_n)
+    _gate(what, p, n, CANON_BUDGET.get(p, 5) if max_n is None else max_n)
 
 
 @dataclass(frozen=True)
@@ -495,7 +500,7 @@ def _minimize(
     """The least joint serialization of ``codes`` over the monomial group,
     and the images of ``codes`` under the map that attains it."""
     p, n = codes[0].p, codes[0].n
-    _check_budget(p, n, max_n)
+    _gate_search("canonicalization", p, n, max_n)
     cols, m = _search(p, n, [c.basis for c in codes], None)
     return cols, [m.apply(c) for c in codes]
 
@@ -580,7 +585,7 @@ def equivalent_fp(
     """
     if (c1.p, c1.n) != (c2.p, c2.n):
         raise ValueError("codes live in different spaces")
-    _check_budget(c1.p, c1.n, max_n)
+    _gate_search("equivalence", c1.p, c1.n, max_n)
     if c1.k != c2.k:
         return None
     return _witness([c1], [c2])
@@ -610,17 +615,17 @@ def equivalent_ep(
     """A monomial map over E_p sending c1 to c2, or None.
 
     Codes of unequal (m1, m2) are inequivalent at once.  Free codes reduce
-    to residue equivalence; the general case searches for one coordinate
-    change carrying both pairs simultaneously, pruned by the joint
-    per-coordinate weight profiles of residue and torsion.
+    to a witness search on the residues; the general case searches for one
+    coordinate change carrying both pairs simultaneously, pruned by the
+    joint per-coordinate weight profiles of residue and torsion.
     """
     if (c1.p, c1.n) != (c2.p, c2.n):
         raise ValueError("codes live in different spaces")
-    _check_budget(c1.p, c1.n, max_n)
+    _gate_search("equivalence", c1.p, c1.n, max_n)
     if (c1.m1, c1.m2) != (c2.m1, c2.m2):
         return None
     if c1.is_free:
-        m = equivalent_fp(c1.residue, c2.residue, max_n)
+        m = _witness([c1.residue], [c2.residue])
     else:
         m = _witness([c1.residue, c1.torsion], [c2.residue, c2.torsion])
     return None if m is None else m.lift()

@@ -19,7 +19,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -57,7 +57,7 @@ def vec_dot(x: Vec, y: Vec, p: int) -> int:
     return sum(a * b for a, b in zip(x, y)) % p
 
 
-def rref(p: int, rows: Sequence[Sequence[int]], n: int | None = None) -> tuple[Mat, Vec]:
+def rref(p: int, rows: Iterable[Sequence[int]], n: int | None = None) -> tuple[Mat, Vec]:
     """Reduced row echelon form over F_p.
 
     Args:
@@ -130,13 +130,15 @@ class FpCode:
             raise ValueError("basis is not in reduced row echelon form")
 
     @classmethod
-    def from_rows(cls, p: int, rows: Sequence[Sequence[int]], n: int | None = None) -> "FpCode":
-        """Build the code spanned by ``rows`` (need not be independent); its
-        basis is :func:`rref`'s own output, so it takes :func:`_unchecked`."""
-        if n is None and not list(rows):
-            raise ValueError("cannot infer length from an empty generating set")
+    def from_rows(cls, p: int, rows: Iterable[Sequence[int]], n: int | None = None) -> "FpCode":
+        """Build the code spanned by the iterable ``rows`` (need not be independent);
+        its basis is :func:`rref`'s own output, so it takes :func:`_unchecked`."""
+        if n is None:
+            rows = list(rows)
+            if not rows:
+                raise ValueError("cannot infer length from an empty generating set")
+            n = len(rows[0])
         basis, pivots = rref(p, rows, n)
-        n = n if n is not None else len(rows[0])
         if n < 1:
             raise ValueError("length must be positive")
         return _unchecked(p, n, basis, pivots)

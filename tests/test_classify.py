@@ -1,12 +1,16 @@
 """Classification pipelines against the bundled tables at small lengths."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from epcodes import (
     BudgetExceeded,
     FpCode,
+    equiv,
+    equivalent_fp,
     MdsStatus,
     Verdict,
     canonical_form,
@@ -318,6 +322,31 @@ def test_each_census_takes_its_own_budget(monkeypatch):
     assert set(classify._cache) == {
         ("left-self-dual", 2, 10), ("mds-amds-left-self-dual", 2, 10)
     }
+
+
+def test_readme_prints_the_budgets_the_code_keeps():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    # the census table: one row per census, naming the kinds that share it
+    header, _, *rows = [line for line in readme.splitlines() if line.startswith("|")]
+    primes = [int(p) for p in re.findall(r"p = (\d+)", header)]
+    printed = {}
+    for row in rows:
+        label, *cells = [cell.strip() for cell in row.strip("|").split("|")]
+        for kind in re.findall(r"`([a-z-]+)`", label):
+            if kind in CLASSIFY_KINDS:
+                printed[kind] = dict(zip(primes, map(int, cells)))
+    assert printed == {
+        kind: {p: classify_budget(kind, p) for p in (2, 3)} for kind in CLASSIFY_KINDS
+    }
+    # the CANON_BUDGET sentence, the per-prime numbers and the rest
+    (numbers,) = re.findall(r"`CANON_BUDGET` \(([^)]*)\)", " ".join(readme.split()))
+    at_p = {int(p): int(n) for n, p in re.findall(r"n = (\d+) at p = (\d+)", numbers)}
+    assert at_p == equiv.CANON_BUDGET
+    (other,) = re.findall(r"n = (\d+) at larger p", numbers)
+    for p in (5, 7, 11, 13):
+        with pytest.raises(BudgetExceeded) as err:
+            equivalent_fp(FpCode.zero(p, 20), FpCode.zero(p, 20))
+        assert err.value.largest_feasible == int(other)
 
 
 def test_lengths_below_one_are_rejected_before_any_work(monkeypatch):

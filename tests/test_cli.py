@@ -1,5 +1,6 @@
 """Command line front end: reports, formats, exit codes."""
 
+import io
 import json
 
 import pytest
@@ -22,7 +23,7 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
-def test_analyze_free_mds_example(tmp_path, capsys):
+def test_analyze_free_mds_example(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "a.txt", "p=2 n=2\nr r\n")
     code, out, _ = _run(capsys, "analyze", path)
     assert code == 0
@@ -31,6 +32,10 @@ def test_analyze_free_mds_example(tmp_path, capsys):
     assert "left self-dual: yes" in out
     assert "minimum distance: 2" in out
     assert "mds status: MDS" in out
+    # - reads the matrix from stdin, and so does a missing path
+    for argv in (("analyze", "-"), ("analyze",)):
+        monkeypatch.setattr("sys.stdin", io.StringIO("p=2 n=2\nr r\n"))
+        assert _run(capsys, *argv) == (0, out, "")
 
 
 def test_analyze_nonfree_self_dual_example(tmp_path, capsys):
@@ -115,6 +120,10 @@ def test_classify_refuses_beyond_budget(capsys):
     code, _, err = _run(capsys, "classify", "lcd", "--p", "2", "--n", "9")
     assert code == 5
     assert "--force" in err
+    assert err == (
+        "refused: classification refused at n=9 for p=2; largest feasible n is 7; "
+        "pass --force to proceed anyway\n"
+    )
     code, _, err = _run(capsys, "classify", "lcd", "--p", "5", "--n", "2")
     assert code == 4
     for argv in (("--n", "0"), ("--n", "3", "--workers", "0"), ("--n", "3", "--workers", "-2")):
@@ -242,6 +251,8 @@ def test_equiv_refusal_prints_one_hint(tmp_path, capsys):
     code, out, err = _run(capsys, "equiv", a, a)
     assert code == 5 and out == ""
     assert err.startswith("refused:") and err.count("pass ") == 1 and "--max-n" in err
+    # equiv runs the witness search, so it is the equivalence search it refuses
+    assert err.startswith("refused: equivalence refused at n=7 for p=3; largest feasible n is 6;")
 
 
 @pytest.mark.parametrize(

@@ -111,6 +111,25 @@ def test_map_validation():
         MonomialMapFp(3, (0, 1), (1, 0))  # zero scaling
     with pytest.raises(ValueError):
         MonomialMapEp(2, (0, 1), (EpElem.t(2), EpElem.r(2)))  # t has alpha 0
+    r2 = EpElem.r(2)
+    for perm, scale in (((0, 0), (r2, r2)), ((1, 0), (r2,))):
+        with pytest.raises(ValueError, match="not a valid monomial map"):
+            MonomialMapEp(2, perm, scale)
+    with pytest.raises(ValueError, match="scale entry over the wrong ring"):
+        MonomialMapEp(2, (0, 1), (r2, EpElem.r(3)))
+    # a map acts only on codes and maps of its own (p, n)
+    fp_map, ep_map = MonomialMapFp.identity(2, 2), MonomialMapEp.identity(2, 2)
+    for m, code in (
+        (fp_map, FpCode.full(2, 3)),
+        (fp_map, FpCode.full(3, 2)),
+        (ep_map, EpCode.full(2, 3)),
+        (ep_map, EpCode.full(3, 2)),
+    ):
+        with pytest.raises(ValueError, match="map and code do not match"):
+            m.apply(code)
+    for other in (MonomialMapFp.identity(2, 3), MonomialMapFp.identity(3, 2)):
+        with pytest.raises(ValueError, match="maps do not compose"):
+            fp_map.then(other)
 
 
 def test_lift_commutes_with_alpha():
@@ -196,6 +215,9 @@ def test_equivalent_ep_rejects_different_spaces():
         equivalent_ep(EpCode.zero(2, 2), EpCode.zero(2, 3))
     with pytest.raises(ValueError):
         equivalent_ep(EpCode.zero(2, 2), EpCode.zero(3, 2))
+    for other in (FpCode.zero(2, 3), FpCode.zero(3, 2)):
+        with pytest.raises(ValueError, match="codes live in different spaces"):
+            equivalent_fp(FpCode.zero(2, 2), other)
 
 
 def test_equivalent_ep_matches_brute_force_among_nonfree_codes():
@@ -401,19 +423,52 @@ def test_canonical_form_free_matches_the_joint_search():
 
 def test_budget_refusals():
     big = FpCode.from_rows(2, [tuple([1] * 11)], 11)
-    with pytest.raises(BudgetExceeded) as err:
+    canon = "canonicalization refused at n=11 for p=2; largest feasible n is 10"
+    with pytest.raises(BudgetExceeded, match=canon) as err:
         canonical_form_fp(big)
     assert err.value.largest_feasible == 10
-    with pytest.raises(BudgetExceeded):
-        canonical_form(EpCode.free_code(FpCode.from_rows(3, [(1,) * 7], 7)))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=canon):
+        canonical_form_free(big)
+    ternary = EpCode.free_code(FpCode.from_rows(3, [(1,) * 7], 7))
+    with pytest.raises(BudgetExceeded, match="canonicalization refused at n=7 for p=3;"):
+        canonical_form(ternary)
+    # the witness search takes the same numbers, and its refusal says so
+    with pytest.raises(BudgetExceeded, match="equivalence refused at n=11 for p=2;"):
         equivalent_fp(big, big)
+    with pytest.raises(BudgetExceeded, match="equivalence refused at n=7 for p=3;"):
+        equivalent_ep(ternary, ternary)
+    # a prime above 3 takes 5
+    with pytest.raises(BudgetExceeded, match="largest feasible n is 5$"):
+        equivalent_fp(FpCode.zero(5, 6), FpCode.zero(5, 6))
     # an explicit cap can lower the budget as well
     small = FpCode.from_rows(2, [(1, 0, 1, 0)], 4)
     with pytest.raises(BudgetExceeded):
         canonical_form_fp(small, max_n=3)
     key, _ = canonical_form_fp(small, max_n=4)
     assert key == canonical_key_fp(small)
+
+
+def test_equivalent_ep_passes_one_gate_per_query(monkeypatch):
+    # a free pair goes straight to the residue witness, not through
+    # equivalent_fp and its own gate
+    calls = []
+    gate = equiv._gate
+
+    def spy(*args):
+        calls.append(args)
+        return gate(*args)
+
+    monkeypatch.setattr(equiv, "_gate", spy)
+    zero = FpCode.zero(2, 4)
+    free = EpCode.free_code(FpCode.from_rows(2, [(1, 1, 0, 0)], 4))
+    nonfree = EpCode(zero, FpCode.from_rows(2, [(1, 1, 0, 0)], 4))
+    for c1, c2, max_n in ((free, free, None), (nonfree, nonfree, None), (free, free, 4)):
+        calls.clear()
+        assert equivalent_ep(c1, c2, max_n) is not None
+        assert calls == [("equivalence", 2, 4, 10 if max_n is None else max_n)]
+    # unequal (m1, m2) is decided after the gate, still once
+    calls.clear()
+    assert equivalent_ep(free, nonfree) is None and len(calls) == 1
 
 
 def test_a_cap_below_one_is_a_bad_parameter_not_a_refusal():

@@ -27,6 +27,10 @@ def test_from_rows_preserves_the_row_space():
             c = FpCode.from_rows(p, rows, n)
             assert fp_span(p, c.basis, n) == fp_span(p, rows, n)
             assert len(c.basis) == c.k
+            # any iterable will do, consumed once, with or without n
+            assert FpCode.from_rows(p, iter(rows), n) == c
+            if rows:
+                assert FpCode.from_rows(p, (row for row in rows)) == c
 
 
 def test_rref_is_idempotent_with_unit_pivots():
@@ -54,6 +58,9 @@ def test_contains_matches_span_membership():
             from itertools import product
             for v in product(range(p), repeat=n):
                 assert c.contains(v) == (v in span)
+            for wrong in ((0,) * (n - 1), (0,) * (n + 1)):
+                with pytest.raises(ValueError, match="vector of wrong length"):
+                    c.reduce(wrong)
 
 
 def test_codewords_are_exactly_the_span():
@@ -176,6 +183,10 @@ def test_intersect_matches_set_intersection():
         b = FpCode.from_rows(p, _random_rows(rng, p, n, rng.randint(0, n)), n)
         want = fp_span(p, a.basis, n) & fp_span(p, b.basis, n)
         assert fp_span(p, a.intersect(b).basis, n) == want
+    for other in (FpCode.full(2, 3), FpCode.full(3, 2)):
+        for op in (FpCode.intersect, FpCode.contains_code):
+            with pytest.raises(ValueError, match="codes live in different spaces"):
+                op(FpCode.full(2, 2), other)
 
 
 def test_mds_status_follows_the_singleton_gap():
@@ -201,6 +212,7 @@ def test_iter_subspaces_counts_match_gaussian_binomials():
             for k in range(n + 1):
                 count = sum(1 for c in seen if c.k == k)
                 assert count == gaussian_binomial(n, k, p)
+            assert gaussian_binomial(n, -1, p) == gaussian_binomial(n, n + 1, p) == 0
     assert gaussian_binomial(6, 3, 2) == 1395
 
 
@@ -268,6 +280,9 @@ def test_iter_subspaces_dims_filter():
 def test_length_must_be_positive():
     with pytest.raises(ValueError):
         FpCode.from_rows(2, [], 0)
+    for empty in ([], (), iter([])):
+        with pytest.raises(ValueError, match="cannot infer length"):
+            FpCode.from_rows(2, empty)
 
 
 def test_unsupported_modulus_rejected():

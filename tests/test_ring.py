@@ -1,5 +1,7 @@
 """Ring arithmetic, checked exhaustively against bilinear expansion."""
 
+import operator
+
 import pytest
 
 from epcodes import EpElem, elements
@@ -28,6 +30,22 @@ def test_addition_is_componentwise():
             for b in elements(p):
                 got = a + b
                 assert (got.i, got.j) == ((a.i + b.i) % p, (a.j + b.j) % p)
+                diff = a - b
+                assert (diff.i, diff.j) == ((a.i - b.i) % p, (a.j - b.j) % p)
+            assert a + -a == EpElem.zero(p)
+
+
+def test_operands_must_be_elements_of_one_ring():
+    r2, r3 = EpElem.r(2), EpElem.r(3)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            op(r2, r3)
+        with pytest.raises(TypeError, match="expected EpElem, got int"):
+            op(r2, 1)
+    # an int scales from the left; any other left operand is not a scalar
+    assert 3 * r3 == EpElem.zero(3) and 5 * r2 == r2
+    with pytest.raises(TypeError):
+        1.0 * r2
 
 
 def test_defining_relations():
@@ -119,6 +137,7 @@ def test_token_round_trip():
     for p in (2, 3, 5, 7):
         for a in elements(p):
             assert EpElem.from_token(a.token, p) == a
+            assert str(a) == a.token
 
 
 def test_token_examples():
@@ -174,3 +193,6 @@ def test_unsupported_modulus_rejected():
     for p in (0, 1, 4, 6, 9, 15):
         with pytest.raises(ValueError):
             EpElem.zero(p)
+    for i, j in ((3, 0), (0, 3), (-1, 0), (0, -2)):
+        with pytest.raises(ValueError, match="coefficients must already be reduced"):
+            EpElem(i, j, 3)

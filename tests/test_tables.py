@@ -2,10 +2,10 @@
 
 import pytest
 
-from epcodes import CountTable, MatrixTable, MdsStatus, load_table
+from epcodes import CountTable, MatrixTable, MdsStatus, load_table, tables
 
 
-def test_all_tables_load():
+def test_all_tables_load(monkeypatch):
     for table_id in range(1, 11):
         table = load_table(table_id)
         assert table.table_id == table_id
@@ -13,6 +13,20 @@ def test_all_tables_load():
         load_table(11)
     with pytest.raises(ValueError):
         load_table(0)
+    # a malformed fixture is reported against its table
+    counts = ["table 1", "p 2", "kind lcd-totals"]
+    matrices = ["table 5", "p 2", "kind mds-amds-lcd", "last-n 4"]
+    for table_id, lines, message in (
+        (1, ["table 2", "p 2", "kind lcd-totals"], "fixture announces table 2, wanted 1"),
+        (1, counts + ["n=1"], "bad count line in table 1: 'n=1'"),
+        (1, counts + ["m=1 2"], "bad count line in table 1: 'm=1 2'"),
+        (5, matrices + ["[n=2 d=2 MDS]", "[n=2 d=1 AMDS]", "r 0"], "empty matrix block"),
+        (5, matrices + ["[n=2 d=2 MDS]"], "empty matrix block in table 5"),
+        (5, matrices + ["r r"], "matrix row outside a block in table 5"),
+    ):
+        monkeypatch.setattr(tables, "_data_lines", lambda _, lines=lines: lines)
+        with pytest.raises(ValueError, match=message):
+            load_table(table_id)
 
 
 def test_count_table_shapes():
