@@ -230,7 +230,7 @@ CENSUSES = {
         walk=iter_self_orthogonal_with_pivots,
         keep=lambda s: True,
         lift=lambda s: EpCode(s, s.dual),
-        check=lambda c: c.is_self_dual and c.is_qsd and c.cardinality_exp == c.n,
+        check=lambda c: c.is_self_dual and c.is_qsd,
         noun="self-dual",
         budget={2: 8, 3: 6},
     ),
@@ -532,18 +532,19 @@ class TableReport:
         )
 
 
-# table kind -> the census that re-derives it and its CLASSIFY_KINDS name
+# table kind -> the CLASSIFY_KINDS name that re-derives it
 _TABLE_KINDS = {
-    "lcd-totals": ("lcd", "lcd"),
-    "lcd-by-distance": ("lcd", "lcd"),
-    "mds-amds-lcd": ("lcd", "mds-amds-lcd"),
-    "mds-amds-left-self-dual": ("left-self-dual", "left-self-dual"),
-    "mds-amds-self-dual": ("self-dual", "self-dual"),
+    "lcd-totals": "lcd",
+    "lcd-by-distance": "lcd",
+    "mds-amds-lcd": "mds-amds-lcd",
+    "mds-amds-left-self-dual": "left-self-dual",
+    "mds-amds-self-dual": "self-dual",
 }
 
 
-def _direct_row_check(row: TableRow, census: Census) -> tuple[bool, str]:
-    """Check the printed predicate, distance and remark on one matrix."""
+def _row_verdict(table_id: int, row: TableRow, census: Census) -> RowVerdict:
+    """Check the printed predicate, distance and remark on one matrix row.  A
+    printed row with a known defect confirms the defect, never the row."""
     code = row.matrix.code()
     problems = []
     if not census.check(code):
@@ -552,7 +553,14 @@ def _direct_row_check(row: TableRow, census: Census) -> tuple[bool, str]:
         problems.append(f"minimum distance is {code.min_distance}, printed {row.d}")
     if code.mds_status is not row.status:
         problems.append(f"status is {code.mds_status.name}, printed {row.status.name}")
-    return not problems, "; ".join(problems)
+    verdict = Verdict.DISCREPANCY if problems else Verdict.CONFIRMED
+    reason = KNOWN_DISCREPANCIES.get((table_id, row.label)) if row.variant == "printed" else None
+    if reason is not None:
+        detail = reason.format(d=code.min_distance)
+        return RowVerdict(row.label, verdict, known=True, detail=detail)
+    if row.variant == "corrected":
+        problems.append("corrected variant of the printed block")
+    return RowVerdict(row.label, verdict, detail="; ".join(problems))
 
 
 def _verify_counts(table: CountTable, limit: int, workers: int) -> TableReport:
@@ -583,36 +591,17 @@ def _verify_counts(table: CountTable, limit: int, workers: int) -> TableReport:
 
 
 def _verify_matrices(table: MatrixTable, limit: int, workers: int) -> TableReport:
-    verdicts: list[RowVerdict] = []
-    notes: list[str] = []
-    census, kind = _TABLE_KINDS[table.kind]
-
-    for row in table.rows:
-        ok, detail = _direct_row_check(row, CENSUSES[census])
-        if row.variant == "printed":
-            # a known-defective block: confirm the defect, never the row
-            reason = KNOWN_DISCREPANCIES.get((table.table_id, row.label))
-            if reason is not None:
-                detail = reason.format(d=row.matrix.code().min_distance)
-            verdicts.append(
-                RowVerdict(
-                    row.label,
-                    Verdict.CONFIRMED if ok else Verdict.DISCREPANCY,
-                    known=reason is not None,
-                    detail=detail,
-                )
-            )
-            continue
-        if row.variant == "completed":
-            notes.append(
-                f"{row.label}: the published block prints only the first generator; "
-                "the bundled completion is the unique class making the block census exact"
-            )
-        if row.variant == "corrected":
-            detail = (detail + "; " if detail else "") + "corrected variant of the printed block"
-        verdicts.append(
-            RowVerdict(row.label, Verdict.CONFIRMED if ok else Verdict.DISCREPANCY, detail=detail)
-        )
+    kind = _TABLE_KINDS[table.kind]
+    census = CENSUSES[kind.removeprefix("mds-amds-")]
+    verdicts = [_row_verdict(table.table_id, row, census) for row in table.rows]
+    notes = [
+        f"{row.label}: the published block prints only the first generator; "
+        "the bundled completion is the unique class making the block census exact"
+        for row in table.rows
+        if row.variant == "completed"
+    ]
+    # odd lengths are excluded by the even-length theorem outside the LCD tables
+    even_only = table.kind != "mds-amds-lcd"
 
     def block(n: int) -> list[TableRow]:
         return [row for row in table.block(n) if row.variant != "printed"]
@@ -648,8 +637,8 @@ def _verify_matrices(table: MatrixTable, limit: int, workers: int) -> TableRepor
     census_lengths: list[int] = []
     max_len = max(limit, max(table.lengths(), default=0))
     for n in range(1, max_len + 1):
-        if n % 2 and table.kind != "mds-amds-lcd":
-            continue  # odd lengths are excluded by the even-length theorem
+        if n % 2 and even_only:
+            continue
         if n > table.last_n:
             verdicts.append(
                 RowVerdict(f"n={n} census", Verdict.SKIPPED, detail="beyond the printed range")
@@ -682,7 +671,7 @@ def _verify_matrices(table: MatrixTable, limit: int, workers: int) -> TableRepor
                     detail=f"{missing} printed classes unmatched, {extra} classes absent from print",
                 )
             )
-    if table.kind != "mds-amds-lcd":
+    if even_only:
         notes.append(
             "odd lengths are absent by the even-length theorem and were not enumerated"
         )
@@ -701,7 +690,7 @@ def verify_table(table_id: int, max_n: int | None = None, workers: int = 1) -> T
     validate_workers(workers)
     _check_max_n(max_n)
     table = load_table(table_id)
-    kind = _TABLE_KINDS[table.kind][1]
+    kind = _TABLE_KINDS[table.kind]
     limit = min(classify_budget(kind, table.p), table.last_n) if max_n is None else max_n
     if isinstance(table, CountTable):
         return _verify_counts(table, limit, workers)

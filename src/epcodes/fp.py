@@ -234,11 +234,11 @@ class FpCode:
         totals = [0] * (n + 1)
         for s in supports:
             totals[s.bit_count()] += s
-        counts = [array(typecode, total.to_bytes(n * size, "little")) for total in totals]
+        counts = array(typecode, b"".join(t.to_bytes(n * size, "little") for t in totals))
         if sys.byteorder == "big":
-            for column in counts:
-                column.byteswap()
-        return tuple(zip(*counts))
+            counts.byteswap()
+        # n counts per weight, transposed to n + 1 counts per coordinate
+        return tuple(zip(*zip(*[iter(counts)] * n)))
 
     @cached_property
     def weight_enumerator(self) -> Vec:

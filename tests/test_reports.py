@@ -9,6 +9,11 @@ The ``equiv`` reports are pinned the same way, with their exit codes: every
 non-printed row of tables 5-10 against its image under a fixed monomial map,
 and one inequivalent pair per table.  The witness printed for an equivalent
 pair is the first one the search finds, so these pins hold the search order.
+
+The ``verify-tables`` reports are pinned with their exit codes on runs that
+together reach every verdict branch: row checks of the known, corrected and
+completed blocks, inequivalence, absent lengths, both skip texts and the
+count tables.
 """
 
 import hashlib
@@ -351,3 +356,23 @@ EQUIV_REPORTS = {
 
 def test_equiv_reports_keep_their_bytes_and_exit_codes(tmp_path, capsys):
     assert _equiv_reports(tmp_path, capsys) == EQUIV_REPORTS
+
+
+# keys are (verify-tables arguments, format), values (exit code, sha256 of
+# stdout); --strict fails on the known Table 7 defect with unchanged bytes
+VERIFY_REPORTS = {
+    ("--max-n 5", "text"): (0, "172c4fd363e682b3c13c9a6c53a632d5014095991feb94f98132917495147a98"),
+    ("--max-n 5", "json"): (0, "68068ed2bc143eab4a8f855401b172b8fa490cd0aaa33d2414322e3ab555ac2d"),
+    ("--table 10 --max-n 6", "text"): (0, "2be42a43c225cd8958d31e0d5ab8ee33892ac05f0409c2869e06f01a7c85911c"),
+    ("--table 10 --max-n 6", "json"): (0, "c79215514380a358469951441ae1f3839467c960d77f5342816b592c43ad852b"),
+    ("--strict --max-n 5", "text"): (1, "172c4fd363e682b3c13c9a6c53a632d5014095991feb94f98132917495147a98"),
+}
+
+
+def test_verify_tables_reports_keep_their_bytes_and_exit_codes(capsys):
+    got = {}
+    for args, fmt in VERIFY_REPORTS:
+        code = main(["verify-tables", *args.split(), "--format", fmt])
+        out = capsys.readouterr().out
+        got[args, fmt] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == VERIFY_REPORTS
